@@ -41,6 +41,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 from typing import List, Optional
 
 from repro import obs
@@ -63,8 +64,6 @@ from repro.api.spec import (
 )
 from repro.api.store import DEFAULT_CACHE_DIR, DiskStore, MemoryStore
 from repro.errors import ConfigError, ReproError
-from repro.sim.batch import DEFAULT_BATCH_SIZE
-from repro.sim.executor import ENGINES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,14 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "JSON, Perfetto-loadable; .jsonl for JSONL)")
         p.add_argument("--metrics", default=None, metavar="FILE",
                        help="write a metrics-registry snapshot as JSON")
-        p.add_argument("--engine", default="events", choices=ENGINES,
-                       help="simulation engine for store misses; 'batch' "
-                            "co-simulates misses in lockstep "
-                            "(default: events)")
-        p.add_argument("--batch-size", type=int, default=None, metavar="N",
-                       help="runs co-simulated per batch with "
-                            "--engine batch (default: "
-                            f"{DEFAULT_BATCH_SIZE})")
 
     p_run = sub.add_parser("run", help="run a grid of specs")
     p_run.add_argument("benchmarks", nargs="*", metavar="BENCH",
@@ -350,10 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="write a span trace of the grid run")
     p_bench_run.add_argument("--metrics", default=None, metavar="FILE",
                              help="write a metrics snapshot of the run")
-    p_bench_run.add_argument(
-        "--engine", default=None, choices=ENGINES,
-        help="force every series onto one simulation engine "
-             "(default: each series' own 'engine' field)")
     p_bench_cmp = bench_sub.add_parser(
         "compare",
         help="diff a trajectory against a previous one; non-zero exit "
@@ -422,9 +409,7 @@ def _artifact_store(args: argparse.Namespace):
 
 def _runner(args: argparse.Namespace) -> Runner:
     return Runner(store=_store(args), parallel=args.parallel,
-                  artifacts=_artifact_store(args),
-                  engine=getattr(args, "engine", "events"),
-                  batch_size=getattr(args, "batch_size", None))
+                  artifacts=_artifact_store(args))
 
 
 def _journal(args: argparse.Namespace, plan: Plan) -> Optional[RunJournal]:
@@ -986,14 +971,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.action == "run":
         config = bench.GridConfig.load(args.grid)
+        # Settle the output directory before any series runs: a grid
+        # can take minutes, and a bad --out-dir must not surface only
+        # when the trajectory is written.
+        out_dir = Path(args.out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out-dir {out_dir}: {exc}")
 
         def progress(pos: int, total: int, key: str) -> None:
             sys.stderr.write(f"[{pos + 1}/{total}] series {key}\n")
             sys.stderr.flush()
 
         trajectory = bench.run_grid(config, repeat=args.repeat,
-                                    progress=progress, engine=args.engine)
-        paths = bench.write_trajectory(trajectory, args.out_dir)
+                                    progress=progress)
+        paths = bench.write_trajectory(trajectory, out_dir)
         print(bench.render(trajectory))
         print(f"trajectory -> {paths['json']}")
         print(f"csv        -> {paths['csv']}")

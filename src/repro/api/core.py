@@ -9,21 +9,15 @@ variant-independent front end (unrolling, disambiguation, profiling) is
 shared across the coherence × heuristic cross instead of being
 recomputed per variant.
 
-Two execution shapes:
-
-* :func:`execute_spec` — one spec, one simulation per loop, with a
-  selectable per-run ``engine`` (``"events"``/``"cycles"``/``"batch"``);
-* :func:`execute_specs_batch` — many specs compiled up front, then
-  every loop of every spec co-simulated in one
-  :class:`~repro.sim.batch.BatchSimulator` pass.  Records are identical
-  to the per-run path (the batch engine is observation-equivalent);
-  failures come back per spec instead of aborting the batch.
+Every loop simulates on the default event-skipping engine
+(:func:`~repro.sim.executor.simulate`); the per-cycle reference engine
+is reached only by calling ``simulate`` directly.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.api.artifacts import ArtifactStore, default_artifact_store
 from repro.api.records import LoopRecord, RunRecord
@@ -37,7 +31,6 @@ from repro.arch.config import MachineConfig
 from repro.errors import WorkloadError
 from repro.obs import trace
 from repro.sched.pipeline import compile_loop
-from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchSimulator
 from repro.sim.executor import simulate
 from repro.workloads.catalog import Benchmark, LoopSpec, get_benchmark
 from repro.workloads.traces import cached_trace_spec, trace_factory
@@ -109,14 +102,11 @@ def warn_floor_from_record(record: RunRecord) -> None:
 
 
 def execute_spec(spec: RunSpec,
-                 artifacts: Optional[ArtifactStore] = None,
-                 engine: str = "events") -> RunRecord:
+                 artifacts: Optional[ArtifactStore] = None) -> RunRecord:
     """Compile + simulate the work a spec declares (no result caching).
 
     ``artifacts`` (default: the process-wide store) shares front-end
     compilation stages with every other spec run in this process.
-    ``engine`` selects the simulation engine per loop — all engines
-    produce identical records.
     """
     machine = resolve_machine(spec)
     with trace.span(f"spec:{spec.benchmark}/{spec.variant}", cat="spec",
@@ -131,78 +121,8 @@ def execute_spec(spec: RunSpec,
             seeds=spec.seeds,
             spec_key=spec.content_hash,
             artifacts=artifacts,
-            engine=engine,
             model=spec.model,
         )
-
-
-def execute_specs_batch(
-    specs,
-    artifacts: Optional[ArtifactStore] = None,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> List[Union[RunRecord, BaseException]]:
-    """Execute many specs with their loops co-simulated in one batch.
-
-    Compiles every loop of every spec up front (sharing the artifact
-    store's front-end stages exactly like :func:`execute_spec`), then
-    advances all resulting simulations together through one
-    :class:`~repro.sim.batch.BatchSimulator`.  Returns one entry per
-    spec, in input order: a :class:`~repro.api.records.RunRecord`, or
-    the exception that spec's compilation or simulation raised (other
-    specs still complete — the batch analogue of a sweep's per-spec
-    error isolation).
-    """
-    if artifacts is None:
-        artifacts = default_artifact_store()
-    specs = list(specs)
-    results: List[Union[RunRecord, BaseException, None]] = [None] * len(specs)
-    prepared: List[tuple] = []  # (spec_idx, record, [(loop ctx, run id)])
-    batch = BatchSimulator(batch_size=batch_size)
-    for idx, spec in enumerate(specs):
-        try:
-            machine = resolve_machine(spec)
-            bench = get_benchmark(spec.benchmark)
-            loops = _select_loops(bench, spec.benchmark, spec.loop)
-            record = RunRecord(
-                benchmark=spec.benchmark,
-                variant=spec.variant_obj.key,
-                machine=machine.name,
-                attraction=spec.attraction,
-                scale=spec.scale,
-                spec_key=spec.content_hash,
-                model=spec.model,
-            )
-            submitted = []
-            for loop_spec in loops:
-                ctx = _prepare_loop(bench, loop_spec, spec.variant_obj,
-                                    machine, spec.scale, spec.seeds,
-                                    artifacts)
-                run_id = batch.submit(ctx[0], ctx[1],
-                                      iterations=ctx[2],
-                                      model=spec.model)
-                submitted.append((loop_spec, ctx, run_id))
-        except Exception as exc:  # compile/front-end failure: isolate
-            results[idx] = exc
-            continue
-        prepared.append((idx, record, submitted))
-    sims = batch.run(capture_errors=True) if len(batch) else []
-    for idx, record, submitted in prepared:
-        spec = specs[idx]
-        try:
-            for loop_spec, ctx, run_id in submitted:
-                sim = sims[run_id]
-                if isinstance(sim, BaseException):
-                    raise sim
-                compiled, _execution, kernel_iters, floor = ctx
-                record.loops.append(_loop_record(
-                    get_benchmark(spec.benchmark), loop_spec,
-                    spec.variant_obj, compiled, sim, kernel_iters, floor,
-                ))
-            results[idx] = record
-        except Exception as exc:
-            results[idx] = exc
-    return results
 
 
 def _select_loops(bench: Benchmark, name: str, loop: Optional[str]):
@@ -228,7 +148,6 @@ def execute_benchmark(
     seeds: Optional[Tuple[int, int]] = None,
     spec_key: str = "",
     artifacts: Optional[ArtifactStore] = None,
-    engine: str = "events",
     model: str = "snooping",
 ) -> RunRecord:
     """Run every loop (or one named loop) of a benchmark on an already
@@ -249,12 +168,12 @@ def execute_benchmark(
     for loop_spec in loops:
         record.loops.append(
             _run_loop(bench, loop_spec, variant, machine, scale, seeds,
-                      artifacts, engine, model)
+                      artifacts, model)
         )
     return record
 
 
-def _prepare_loop(
+def _run_loop(
     bench: Benchmark,
     spec: LoopSpec,
     variant: Variant,
@@ -262,13 +181,9 @@ def _prepare_loop(
     scale: float,
     seeds: Optional[Tuple[int, int]] = None,
     artifacts: Optional[ArtifactStore] = None,
-):
-    """Compile one loop and build its execution trace.
-
-    Returns ``(compiled, execution, kernel_iters, iteration_floor)`` —
-    everything a simulation engine needs, shared by the per-run and
-    batch execution paths.
-    """
+    model: str = "snooping",
+) -> LoopRecord:
+    """Compile one loop, build its execution trace and simulate it."""
     profile_seed, execute_seed = seeds or (bench.profile_seed,
                                            bench.execute_seed)
     # One frozen, keyed spec per (iterations, seed): its key is what lets
@@ -297,18 +212,9 @@ def _prepare_loop(
     with trace.span(f"trace-gen:{spec.name}", cat="trace-gen"):
         execution = trace_factory(kernel_iters,
                                   seed=execute_seed)(compiled.ddg)
-    return compiled, execution, kernel_iters, iteration_floor
-
-
-def _loop_record(
-    bench: Benchmark,
-    spec: LoopSpec,
-    variant: Variant,
-    compiled,
-    sim,
-    kernel_iters: int,
-    iteration_floor: int,
-) -> LoopRecord:
+    with trace.span(f"simulate:{spec.name}", cat="sim"):
+        sim = simulate(compiled, execution, iterations=kernel_iters,
+                       model=model)
     return LoopRecord(
         benchmark=bench.name,
         loop=spec.name,
@@ -329,24 +235,3 @@ def _loop_record(
         ),
         iteration_floor=iteration_floor,
     )
-
-
-def _run_loop(
-    bench: Benchmark,
-    spec: LoopSpec,
-    variant: Variant,
-    machine: MachineConfig,
-    scale: float,
-    seeds: Optional[Tuple[int, int]] = None,
-    artifacts: Optional[ArtifactStore] = None,
-    engine: str = "events",
-    model: str = "snooping",
-) -> LoopRecord:
-    compiled, execution, kernel_iters, iteration_floor = _prepare_loop(
-        bench, spec, variant, machine, scale, seeds, artifacts
-    )
-    with trace.span(f"simulate:{spec.name}", cat="sim"):
-        sim = simulate(compiled, execution, iterations=kernel_iters,
-                       engine=engine, model=model)
-    return _loop_record(bench, spec, variant, compiled, sim,
-                        kernel_iters, iteration_floor)

@@ -180,7 +180,7 @@ class MachineConfig:
         if self.cache.block_bytes % (self.interleave_bytes * self.num_clusters):
             raise ConfigError(
                 "cache block must hold a whole number of interleave units "
-                "per cluster (block_bytes %% (interleave * clusters) == 0)"
+                "per cluster (block_bytes % (interleave * clusters) == 0)"
             )
         for kind in FuKind:
             if self.fu_per_cluster.get(kind, 0) < 0:

@@ -50,7 +50,6 @@ from repro.errors import WorkloadError
 from repro.hashing import digest
 from repro.obs import metrics, trace
 from repro.sched.stages import FRONTEND_STAGES
-from repro.sim.executor import ENGINES
 
 #: Trajectory files are ``BENCH_<grid name>.json`` at the output root.
 BENCH_FILE_PREFIX = "BENCH_"
@@ -69,17 +68,18 @@ PERF_FIELDS = ("wall_seconds", "cycles_per_second", "frontend_seconds")
 DETERMINISTIC_FIELDS = ("specs", "total_cycles", "issued_ops",
                         "records_digest")
 
+#: Every key a series entry may carry.  Anything else — a typo or a
+#: stale key — is rejected: an ignored key would silently measure a
+#: different configuration than the grid file claims.
+SERIES_KEYS = frozenset({
+    "key", "benchmarks", "scenarios", "variants", "machines", "scale",
+    "loop", "model", "surrogate",
+})
+
 
 @dataclass(frozen=True)
 class GridSeries:
-    """One tracked series of a grid config.
-
-    ``engine`` selects the simulation engine the series measures
-    (``"events"``, ``"cycles"``, or ``"batch"``); engines are
-    observation-equivalent, so two series differing only in ``engine``
-    must produce the same ``records_digest`` — which makes a paired
-    events/batch series a persistent, committed equivalence check.
-    """
+    """One tracked series of a grid config."""
 
     key: str
     benchmarks: Sequence[str]
@@ -87,8 +87,6 @@ class GridSeries:
     machines: Sequence[str]
     scale: float
     loop: Optional[str] = None
-    engine: str = "events"
-    batch_size: Optional[int] = None
     model: str = "snooping"
     #: Surrogate-guided series: ``{"budget": N, "explore_frac": F,
     #: "seed": S, "train": {"seed": …, "count": …}}``.  Each repeat pays
@@ -142,6 +140,12 @@ class GridConfig:
         series: List[GridSeries] = []
         for entry in raw_series:
             key = str(entry["key"])
+            unknown = sorted(set(entry) - SERIES_KEYS)
+            if unknown:
+                raise WorkloadError(
+                    f"series {key!r} names unknown or removed key "
+                    f"{unknown[0]!r}; expected keys: {sorted(SERIES_KEYS)}"
+                )
             benchmarks = entry.get("benchmarks")
             sampler = entry.get("scenarios")
             if benchmarks is None and sampler is None:
@@ -161,20 +165,6 @@ class GridConfig:
                         sampler.get("families"),
                     )
                 ]
-            engine = str(entry.get("engine", "events"))
-            if engine not in ENGINES:
-                raise WorkloadError(
-                    f"series {key!r} names unknown engine {engine!r}; "
-                    f"expected one of {ENGINES}"
-                )
-            batch_size = entry.get("batch_size")
-            if batch_size is not None:
-                batch_size = int(batch_size)
-                if batch_size < 1:
-                    raise WorkloadError(
-                        f"series {key!r}: batch_size must be >= 1, "
-                        f"got {batch_size}"
-                    )
             model = str(entry.get("model", "snooping"))
             from repro.sim.models import model_names
             if model not in model_names():
@@ -202,8 +192,6 @@ class GridConfig:
                     "machines", ["baseline"])],
                 scale=float(entry.get("scale", default_scale)),
                 loop=entry.get("loop"),
-                engine=engine,
-                batch_size=batch_size,
                 model=model,
                 surrogate=surrogate,
             ))
@@ -236,15 +224,10 @@ def _frontend_seconds_now() -> float:
     return total
 
 
-def run_series(series: GridSeries, repeat: int,
-               engine: Optional[str] = None) -> Dict[str, Any]:
-    """Execute one series ``repeat`` times cold; median-walled result.
-
-    ``engine`` (when given) overrides the series' own engine — the
-    ``repro bench run --engine`` escape hatch for ad-hoc comparisons.
-    """
+def run_series(series: GridSeries, repeat: int) -> Dict[str, Any]:
+    """Execute one series ``repeat`` times cold; median-walled result."""
     if series.surrogate is not None:
-        return _run_series_surrogate(series, repeat, engine=engine)
+        return _run_series_surrogate(series, repeat)
     plan = series.plan()
     walls: List[float] = []
     records: List[RunRecord] = []
@@ -254,9 +237,7 @@ def run_series(series: GridSeries, repeat: int,
         # carry-over, so every repeat pays the full compile+simulate
         # cost the series claims to measure.
         runner = Runner(store=MemoryStore(),
-                        artifacts=MemoryArtifactStore(),
-                        engine=engine or series.engine,
-                        batch_size=series.batch_size)
+                        artifacts=MemoryArtifactStore())
         frontend_before = _frontend_seconds_now()
         start = time.perf_counter()
         with trace.span(f"bench:{series.key}", cat="bench"):
@@ -282,8 +263,7 @@ def run_series(series: GridSeries, repeat: int,
     }
 
 
-def _run_series_surrogate(series: GridSeries, repeat: int,
-                          engine: Optional[str] = None) -> Dict[str, Any]:
+def _run_series_surrogate(series: GridSeries, repeat: int) -> Dict[str, Any]:
     """Execute a surrogate-guided series ``repeat`` times, cold.
 
     Each repeat: simulate a small seeded *training* space, fit the
@@ -325,9 +305,7 @@ def _run_series_surrogate(series: GridSeries, repeat: int,
     chosen = 0
     for _ in range(repeat):
         runner = Runner(store=MemoryStore(),
-                        artifacts=MemoryArtifactStore(),
-                        engine=engine or series.engine,
-                        batch_size=series.batch_size)
+                        artifacts=MemoryArtifactStore())
         frontend_before = _frontend_seconds_now()
         start = time.perf_counter()
         with trace.span(f"bench:{series.key}", cat="bench"):
@@ -365,23 +343,14 @@ def _run_series_surrogate(series: GridSeries, repeat: int,
 
 def run_grid(config: GridConfig,
              repeat: Optional[int] = None,
-             progress=None,
-             engine: Optional[str] = None) -> Dict[str, Any]:
-    """Run every series of a grid; returns the trajectory payload.
-
-    ``engine`` forces every series onto one simulation engine (the
-    per-series ``engine`` field is the committed default).
-    """
+             progress=None) -> Dict[str, Any]:
+    """Run every series of a grid; returns the trajectory payload."""
     repeat = config.repeat if repeat is None else max(1, repeat)
-    if engine is not None and engine not in ENGINES:
-        raise WorkloadError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
     results: Dict[str, Any] = {}
     for pos, series in enumerate(config.series):
         if progress is not None:
             progress(pos, len(config.series), series.key)
-        results[series.key] = run_series(series, repeat, engine=engine)
+        results[series.key] = run_series(series, repeat)
         metrics.inc("bench.series_runs", grid=config.name)
     from repro import __version__
     return {

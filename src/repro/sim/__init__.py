@@ -26,11 +26,6 @@ from repro.sim.stats import AccessType, SimStats
 from repro.sim.coherence import CoherenceChecker
 from repro.sim.memory import MemorySystem
 from repro.sim.executor import ENGINES, SimulationResult, simulate
-from repro.sim.batch import (
-    DEFAULT_BATCH_SIZE,
-    BatchSimulator,
-    simulate_batch,
-)
 
 __all__ = [
     "home_cluster",
@@ -43,7 +38,4 @@ __all__ = [
     "ENGINES",
     "SimulationResult",
     "simulate",
-    "DEFAULT_BATCH_SIZE",
-    "BatchSimulator",
-    "simulate_batch",
 ]

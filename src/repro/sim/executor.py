@@ -35,12 +35,10 @@ Two engines share this model:
   per machine cycle, ``tick_begin``/``tick_end`` every cycle.  Kept as
   the semantic baseline for equivalence tests and the speedup benchmark
   (``benchmarks/bench_sim_fastpath.py``).
-* ``engine="batch"`` — the batched lockstep engine
-  (:mod:`repro.sim.batch`): a specialized stepper with the same
-  observable behavior as ``"events"``, designed to co-schedule many
-  independent runs per process.  ``simulate(..., engine="batch")`` runs
-  a batch of one; :class:`~repro.sim.batch.BatchSimulator` amortizes
-  dispatch across hundreds of runs (``benchmarks/bench_sim_batch.py``).
+
+Memory is always constructed through the model registry
+(:mod:`repro.sim.models`); tests substitute fault-injecting memory
+systems by registering a model under an existing name.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ STALL_WATCHDOG = 100_000
 _PRUNE_INTERVAL = 4096
 
 #: The available simulation engines (see module docstring).
-ENGINES = ("events", "cycles", "batch")
+ENGINES = ("events", "cycles")
 
 
 @dataclass
@@ -122,10 +120,8 @@ def simulate(
 
     ``engine`` selects the execution strategy: ``"events"`` (default)
     fast-forwards stalled and drain windows to the next memory event,
-    ``"cycles"`` is the one-iteration-per-cycle reference, ``"batch"``
-    routes through :class:`~repro.sim.batch.BatchSimulator` as a batch
-    of one.  All produce identical :class:`~repro.sim.stats.SimStats`
-    and violation counts.
+    ``"cycles"`` is the one-iteration-per-cycle reference.  Both produce
+    identical :class:`~repro.sim.stats.SimStats` and violation counts.
 
     ``model`` names the registered memory model
     (:mod:`repro.sim.models`) the run simulates; every engine supports
@@ -138,16 +134,6 @@ def simulate(
     from repro.sim import models as _models  # local: avoid cycle
 
     model_impl = _models.named_model(model)
-    if engine == "batch":
-        from repro.sim.batch import BatchSimulator  # local: avoid cycle
-
-        batch = BatchSimulator(batch_size=1)
-        batch.submit(
-            compilation, trace, iterations=iterations,
-            check_coherence=check_coherence, flush_abs=flush_abs,
-            model=model,
-        )
-        return batch.run()[0]
     schedule = compilation.schedule
     machine = compilation.machine
     ddg = compilation.ddg
@@ -165,12 +151,7 @@ def simulate(
         CoherenceChecker(ddg, trace, n_iter) if check_coherence else None
     )
     stats = SimStats()
-    if model == _models.DEFAULT_MODEL:
-        # Construct through the module global so tests monkeypatching
-        # ``executor.MemorySystem`` keep intercepting the default path.
-        memory = MemorySystem(machine, stats, checker)
-    else:
-        memory = model_impl.build(machine, stats, checker)
+    memory = model_impl.build(machine, stats, checker)
 
     ops_by_slot = _prepare(compilation)
     total_indexes = schedule.length + (n_iter - 1) * schedule.ii

@@ -170,9 +170,9 @@ class MemorySystem:
     def sync_stats(self) -> None:
         """Mirror fabric/next-level counters into :class:`SimStats`.
 
-        Pure absolute copies of monotonic counters, so calling this once
-        at end of run (as the batch engine's steppers do) yields the
-        same final stats as calling it every ``tick_end``.
+        Pure absolute copies of monotonic counters, so calling it on any
+        subset of cycles yields the same final stats as calling it every
+        ``tick_end``.
         """
         self.stats.bus_transfers = self.fabric.transfers
         self.stats.bus_queued_cycles = self.fabric.queued_cycles

@@ -1,9 +1,6 @@
 """Pluggable memory-system models.
 
-The paper's memory system — word-interleaved homes on a snooping bus
-with remote-request buffers — used to be hard-coded in three places (the
-object engine, the flattened batch stepper and the checker's transition
-table).  This package turns the protocol into a first-class axis: a
+This package turns the memory protocol into a first-class axis: a
 :class:`MemoryModel` names one protocol + placement scheme, owns the
 construction of its :class:`~repro.sim.memory.MemorySystem` subclass,
 and points at the matching exhaustive-check model and conformance
@@ -38,7 +35,7 @@ from repro.sim.memory import MemorySystem, TraceCallback
 from repro.sim.stats import SimStats
 
 #: The model every entry point defaults to; its behaviour is pinned by
-#: the goldens and the events<->batch differential tests.
+#: the goldens.
 DEFAULT_MODEL = "snooping"
 
 
@@ -53,9 +50,6 @@ class MemoryModel:
     name: str = ""
     #: one-line human description for ``repro list``
     description: str = ""
-    #: True when the flattened batch stepper implements this model, so
-    #: ``engine="batch"`` may take the tuple-message fast path
-    flat_stepper_capable: bool = False
     #: True when the model keeps per-cluster copies that Attraction
     #: Buffers can extend (only the snooping protocol does)
     supports_attraction: bool = True

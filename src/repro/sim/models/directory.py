@@ -287,7 +287,6 @@ class DirectoryModel(MemoryModel):
         "distributed directory: per-block home forwards to the owner "
         "slice; per-hop req/fwd/resp traffic accounting"
     )
-    flat_stepper_capable = False
     supports_attraction = False
 
     def build(

@@ -50,7 +50,6 @@ class DLSModel(MemoryModel):
         "directoryless shared LLC: blocks hash to a single home slice; "
         "no copies, no invalidation broadcast"
     )
-    flat_stepper_capable = False
     supports_attraction = False
 
     def build(

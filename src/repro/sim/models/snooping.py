@@ -25,7 +25,6 @@ class SnoopingModel(MemoryModel):
         "paper baseline: word-interleaved homes, snooping bus, "
         "remote-request buffers (+ optional Attraction Buffers)"
     )
-    flat_stepper_capable = True
     supports_attraction = True
 
     def build(

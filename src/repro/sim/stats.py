@@ -51,8 +51,6 @@ _COUNTER_FIELDS = (
 _DIAGNOSTIC_FIELDS = (
     "fast_forwarded_cycles",
     "fast_retired_indexes",
-    "batch_size",
-    "batch_steps",
 )
 
 
@@ -82,12 +80,6 @@ class SimStats:
     #: kernel indexes retired by the "no loads in flight, none due" bulk
     #: fast path (diagnostic; not serialized)
     fast_retired_indexes: int = 0
-    #: co-schedule width of the batch engine's run (0 for the per-run
-    #: engines; diagnostic; not serialized)
-    batch_size: int = 0
-    #: scheduler resumptions this run consumed under the batch engine
-    #: (diagnostic; not serialized)
-    batch_steps: int = 0
     #: per-message-kind split of ``bus_transfers`` (``req_load``,
     #: ``req_store``, ``fwd_load``, ``fwd_store``, ``resp``).  The
     #: serialized form keeps the backward-compatible scalar — which is

@@ -1,5 +1,7 @@
 """Machine-description tests (paper Table 2 and section 4.2 variants)."""
 
+import re
+
 import pytest
 
 from repro.arch import (
@@ -92,7 +94,8 @@ class TestAddressMapping:
 
 class TestValidation:
     def test_block_must_cover_all_clusters(self):
-        with pytest.raises(ConfigError):
+        rendered = re.escape("(block_bytes % (interleave * clusters) == 0)")
+        with pytest.raises(ConfigError, match=rendered + "$"):
             MachineConfig(interleave_bytes=12)
 
     def test_bus_count_positive(self):

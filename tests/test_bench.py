@@ -73,6 +73,17 @@ class TestGridConfig:
         with pytest.raises(WorkloadError):
             GridConfig.from_dict(broken)
 
+    @pytest.mark.parametrize("removed, value", [
+        ("engine", "batch"),
+        ("batch_size", 16),
+    ])
+    def test_removed_engine_keys_are_rejected_by_name(self, removed, value):
+        # Both keys once selected the deleted batched simulation engine.
+        stale = json.loads(json.dumps(TINY_GRID))
+        stale["series"][0][removed] = value
+        with pytest.raises(WorkloadError, match=repr(removed)):
+            GridConfig.from_dict(stale)
+
     def test_load_rejects_missing_and_non_json_files(self, tmp_path):
         with pytest.raises(WorkloadError):
             GridConfig.load(tmp_path / "nope.json")
@@ -194,6 +205,26 @@ class TestCli:
         trajectory = json.loads(bench_json.read_text())
         assert trajectory["schema"] == bench.BENCH_SCHEMA
         assert trajectory["series"]["one"]["specs"] == 1
+
+    def test_bench_run_creates_missing_out_dir(self, tmp_path, grid_file):
+        out_dir = tmp_path / "fresh" / "nested"
+        rc = main(["bench", "run", "--grid", str(grid_file),
+                   "--repeat", "1", "--out-dir", str(out_dir)])
+        assert rc == 0
+        assert (out_dir / "BENCH_tiny.json").exists()
+        assert (out_dir / "BENCH_tiny.csv").exists()
+
+    def test_bench_run_out_dir_file_fails_before_any_series(
+            self, tmp_path, grid_file, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        rc = main(["bench", "run", "--grid", str(grid_file),
+                   "--repeat", "1", "--out-dir", str(blocker)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "series" not in err  # no series started
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: cannot create --out-dir")
 
     def test_bench_compare_fails_on_injected_slowdown(self, tmp_path,
                                                       grid_file, capsys):

@@ -1,20 +1,28 @@
 """The event-skipping engine vs the per-cycle reference.
 
-Four concerns:
+Five concerns:
 
 * **equivalence** — both engines produce identical ``SimStats`` and
   violation counts on random scenarios across families, coherence modes,
-  machine shapes, and with Attraction Buffers (the golden fixtures in
-  ``tests/test_golden_equivalence.py`` additionally pin the default
-  engine byte-for-byte against the pre-rewrite monolith);
+  machine shapes, and with Attraction Buffers, and on a mixed
+  family x machine x coherence x heuristic pool under every memory
+  model (the golden fixtures in ``tests/test_golden_equivalence.py``
+  additionally pin the default engine byte-for-byte against the
+  pre-rewrite monolith);
+* **input validation** — unknown engines and bad iteration counts are
+  rejected, and trace errors propagate under both engines;
 * **hung-drain watchdog** — a memory system that never quiesces after
   the last issue raises :class:`SimulationError` within the watchdog
-  bound under both engines instead of spinning forever;
+  bound under both engines and every memory model instead of spinning
+  forever;
 * **stall watchdog under event skipping** — a load that never completes
   raises the same watchdog error as the per-cycle reference, immediately
   rather than after 100k wall iterations;
 * **completion-map pruning** — prune scheduling survives the bulk fast
   path jumping over interval multiples, so the map stays bounded.
+
+The watchdog tests inject faults by re-registering a model in
+``repro.sim.models.MODELS``, so every memory model is covered.
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ from repro.errors import SimulationError
 from repro.ir import DdgBuilder
 from repro.scenarios import ScenarioParams, build_scenario_ddg
 from repro.sched import CoherenceMode, Heuristic, compile_loop
-from repro.sim import ENGINES, MemorySystem, simulate
+from repro.sim import ENGINES, simulate
 from repro.sim import executor as executor_mod
+from repro.sim.models import MODELS, model_names, named_model
 from repro.workloads import trace_factory
 from repro.workloads.traces import AddressTrace
 
@@ -132,23 +141,122 @@ class TestEngineEquivalence:
         with pytest.raises(SimulationError, match="unknown simulation engine"):
             simulate(compiled, trace, iterations=8, engine="warp")
 
+    def test_removed_batch_engine_rejected(self):
+        compiled = _compile(single_load_loop())
+        trace = trace_factory(8, seed=7)(compiled.ddg)
+        with pytest.raises(SimulationError, match="'batch'"):
+            simulate(compiled, trace, iterations=8, engine="batch")
+
+
+# ----------------------------------------------------------------------
+# Mixed pool x memory model: the engines agree beyond the default model
+# ----------------------------------------------------------------------
+_POOL = {
+    "stream-baseline-none-mincoms": (
+        "stream", "baseline", CoherenceMode.NONE, Heuristic.MINCOMS, {}),
+    "gather-slowmem-none-mincoms": (
+        "gather", "slowmem", CoherenceMode.NONE, Heuristic.MINCOMS, {}),
+    "chase-baseline-mdc-prefclus": (
+        "chase", "baseline", CoherenceMode.MDC, Heuristic.PREFCLUS, {}),
+    "alias-slowmem-ddgt-mincoms": (
+        "alias", "slowmem", CoherenceMode.DDGT, Heuristic.MINCOMS, {}),
+    "stencil-baseline-ddgt-prefclus": (
+        "stencil", "baseline", CoherenceMode.DDGT, Heuristic.PREFCLUS, {}),
+}
+
+
+@pytest.mark.parametrize("model", model_names())
+@pytest.mark.parametrize("workload", sorted(_POOL), ids=str)
+def test_engines_agree_on_mixed_pool(workload, model):
+    """Every family x machine x coherence x heuristic corner simulates
+    identically under both engines on every memory model."""
+    family, machine, coherence, heuristic, params = _POOL[workload]
+    ddg = build_scenario_ddg(ScenarioParams(family=family, seed=3, **params))
+    compiled = _compile(ddg, _MACHINES[machine], coherence=coherence,
+                        heuristic=heuristic)
+    results = {}
+    for engine in ENGINES:
+        trace = trace_factory(120, seed=7)(compiled.ddg)
+        results[engine] = simulate(compiled, trace, iterations=120,
+                                   engine=engine, model=model)
+    events, reference = results["events"], results["cycles"]
+    assert _canonical(events) == _canonical(reference)
+    assert events.stats.bus_transfer_kinds == reference.stats.bus_transfer_kinds
+    assert events.violations.total == reference.violations.total
+    if coherence is not CoherenceMode.NONE:
+        assert events.violations.total == 0
+
+
+# ----------------------------------------------------------------------
+# Input validation and error propagation
+# ----------------------------------------------------------------------
+class _BoomTrace:
+    """TraceLike double whose address stream fails mid-run."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.num_iterations = inner.num_iterations
+
+    def address(self, iid, iteration):
+        raise RuntimeError("boom")
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize(
+    "iterations, message",
+    [(0, "at least one"), (9, "trace provides 8 iterations, 9 requested")],
+    ids=["zero", "past-trace"],
+)
+def test_iteration_count_validated(iterations, message):
+    compiled = _compile(single_load_loop())
+    trace = trace_factory(8, seed=7)(compiled.ddg)
+    with pytest.raises(SimulationError, match=message):
+        simulate(compiled, trace, iterations=iterations)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_trace_errors_propagate(engine):
+    compiled = _compile(single_load_loop())
+    trace = _BoomTrace(trace_factory(8, seed=7)(compiled.ddg))
+    with pytest.raises(RuntimeError, match="boom"):
+        simulate(compiled, trace, iterations=8, engine=engine)
+
 
 # ----------------------------------------------------------------------
 # Watchdogs (regression: hung drain / hung stall must raise, not spin)
 # ----------------------------------------------------------------------
-class _NeverQuiescentMemory(MemorySystem):
-    """A buggy memory system that claims in-flight work forever."""
+class _NeverQuiescentMemory:
+    """Fault mixin: a memory system that claims in-flight work forever."""
 
     def quiescent(self) -> bool:
         return False
 
 
-class _SwallowingMemory(MemorySystem):
-    """A buggy memory system that drops loads: completion never comes."""
+class _SwallowingMemory:
+    """Fault mixin: a memory system that drops loads, so completion
+    never comes."""
 
     def load(self, cluster, addr, width, iid, iteration, on_complete,
              cycle) -> None:
         pass
+
+
+def _inject_fault(monkeypatch, model: str, fault: type) -> None:
+    """Re-register ``model`` so every memory system it builds mixes in
+    ``fault`` ahead of the model's own class."""
+    base = named_model(model)
+
+    class _FaultyModel(type(base)):
+        def build(self, *args, **kwargs):
+            memory = super().build(*args, **kwargs)
+            memory.__class__ = type(
+                fault.__name__, (fault, type(memory)), {}
+            )
+            return memory
+
+    monkeypatch.setitem(MODELS, model, _FaultyModel())
 
 
 @pytest.fixture
@@ -157,25 +265,29 @@ def small_watchdog(monkeypatch):
     return 500
 
 
+@pytest.mark.parametrize("model", model_names())
 @pytest.mark.parametrize("engine", ENGINES)
-def test_hung_drain_raises_within_bound(engine, small_watchdog, monkeypatch):
-    monkeypatch.setattr(executor_mod, "MemorySystem", _NeverQuiescentMemory)
+def test_hung_drain_raises_within_bound(engine, model, small_watchdog,
+                                        monkeypatch):
+    _inject_fault(monkeypatch, model, _NeverQuiescentMemory)
     compiled = _compile(single_load_loop())
     trace = trace_factory(8, seed=7)(compiled.ddg)
     with pytest.raises(SimulationError, match="drain"):
-        simulate(compiled, trace, iterations=8, engine=engine)
+        simulate(compiled, trace, iterations=8, engine=engine, model=model)
 
 
+@pytest.mark.parametrize("model", model_names())
 @pytest.mark.parametrize("engine", ENGINES)
-def test_lost_load_raises_stall_watchdog(engine, small_watchdog, monkeypatch):
-    monkeypatch.setattr(executor_mod, "MemorySystem", _SwallowingMemory)
+def test_lost_load_raises_stall_watchdog(engine, model, small_watchdog,
+                                         monkeypatch):
+    _inject_fault(monkeypatch, model, _SwallowingMemory)
     compiled = _compile(single_load_loop())
     trace = trace_factory(8, seed=7)(compiled.ddg)
     with pytest.raises(
         SimulationError,
         match=f"machine stalled for {small_watchdog + 1} cycles",
     ):
-        simulate(compiled, trace, iterations=8, engine=engine)
+        simulate(compiled, trace, iterations=8, engine=engine, model=model)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -202,18 +314,20 @@ def test_long_healthy_drain_does_not_trip_watchdog(engine, small_watchdog):
     assert result.stats.stall_cycles == 0  # stores never stall the core
 
 
+@pytest.mark.parametrize("model", model_names())
 def test_watchdog_stall_accounting_matches_reference(
-    small_watchdog, monkeypatch
+    model, small_watchdog, monkeypatch
 ):
     """The event engine charges the emulated watchdog window exactly as
     the per-cycle reference would have before raising."""
-    monkeypatch.setattr(executor_mod, "MemorySystem", _SwallowingMemory)
+    _inject_fault(monkeypatch, model, _SwallowingMemory)
     compiled = _compile(single_load_loop())
     messages = {}
     for engine in ENGINES:
         trace = trace_factory(8, seed=7)(compiled.ddg)
         with pytest.raises(SimulationError) as excinfo:
-            simulate(compiled, trace, iterations=8, engine=engine)
+            simulate(compiled, trace, iterations=8, engine=engine,
+                     model=model)
         messages[engine] = str(excinfo.value)
     assert messages["events"] == messages["cycles"]
 

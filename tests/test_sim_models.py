@@ -75,6 +75,28 @@ class TestRegistry:
         assert implicit.stats.to_dict() == explicit.stats.to_dict()
 
 
+    @pytest.mark.parametrize("model", model_names())
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_simulate_builds_through_registry(self, engine, model,
+                                              monkeypatch):
+        """``simulate()`` constructs memory only through the registered
+        model's ``build``, the default model included, so a substitute
+        registered in ``MODELS`` sees every run."""
+        expected = run(model, engine=engine).stats.to_dict()
+        base = named_model(model)
+        built = []
+
+        class _Recording(type(base)):
+            def build(self, *args, **kwargs):
+                memory = super().build(*args, **kwargs)
+                built.append(memory)
+                return memory
+
+        monkeypatch.setitem(MODELS, model, _Recording())
+        assert run(model, engine=engine).stats.to_dict() == expected
+        assert len(built) == 1
+
+
 class TestModelBehaviour:
     @pytest.mark.parametrize("model", model_names())
     def test_engines_agree(self, model):
