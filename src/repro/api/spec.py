@@ -250,17 +250,22 @@ class RunSpec:
 
         Hashing the *resolved* machine (after the benchmark interleave and
         ``with_attraction_buffers()`` are applied) guarantees two specs
-        share a key only when they run byte-identical work.
+        share a key only when they run byte-identical work.  Computed once
+        per (frozen) spec and kept on the instance.
         """
-        return spec_cache_key(
-            benchmark=self.benchmark,
-            variant=self.variant,
-            machine=self.resolved_machine(),
-            scale=self.scale,
-            loop=self.loop,
-            seeds=self.seeds,
-            model=self.model,
-        )
+        key = self.__dict__.get("_content_hash")
+        if key is None:
+            key = spec_cache_key(
+                benchmark=self.benchmark,
+                variant=self.variant,
+                machine=self.resolved_machine(),
+                scale=self.scale,
+                loop=self.loop,
+                seeds=self.seeds,
+                model=self.model,
+            )
+            object.__setattr__(self, "_content_hash", key)
+        return key
 
     @property
     def frontend_key(self) -> str:

@@ -7,7 +7,8 @@ compute time (more in-flight stages) for stall time (fewer stall-on-use
 cycles).  The policy implemented here tries the memory-latency ladder from
 most to least pessimistic and accepts the first level that keeps the II of
 the optimistic (local-hit) schedule, with bounded growth of the flat
-schedule length:
+schedule length (each level's II search is capped at the base II, since
+no other II is accepted):
 
 * same II  ->  compute time per iteration is unchanged;
 * bounded length growth ->  the deeper software pipeline costs only a few
@@ -54,13 +55,17 @@ def schedule_with_latency_policy(
 
     limit = base.length + LENGTH_SLACK_STAGES * base.ii
     for level in sorted(set(ladder[1:]), reverse=True):
+        # Only a schedule at the base II is acceptable, so the II search
+        # is capped there: a level whose MII already exceeds it raises
+        # before any placement.
         try:
             candidate = modulo_schedule(
-                ddg, machine, assignment, uniform(level), min_ii=base.ii
+                ddg, machine, assignment, uniform(level),
+                min_ii=base.ii, max_ii=base.ii,
             )
         except SchedulingError:
             continue
-        if candidate.ii == base.ii and candidate.length <= limit:
+        if candidate.length <= limit:
             return candidate
     return base
 

@@ -77,12 +77,35 @@ class ScheduledOp:
         return self.time // ii
 
 
+#: The reservation unit of an inter-cluster COPY (see :func:`unit_of`).
+BUS = -1
+_KIND_INDEX = {kind: k for k, kind in enumerate(FuKind)}
+
+
+def unit_of(instr: Instruction, cluster: int) -> int:
+    """The resource ``instr`` occupies in ``cluster``: the index of its
+    row of functional units in a :class:`ReservationTable`, or
+    :data:`BUS` for a copy."""
+    if instr.is_copy:
+        return BUS
+    kind = instr.fu_kind
+    assert kind is not None
+    return cluster * len(_KIND_INDEX) + _KIND_INDEX[kind]
+
+
 class ReservationTable:
     """Modulo reservation table for one candidate II.
 
-    Tracks, per modulo slot, which operation occupies each functional unit
-    and each register bus.  ``place``/``remove`` keep the table consistent
-    under the iterative scheduler's eject-and-retry policy.
+    Flat layout: one row of II slot cells per (cluster, functional-unit
+    kind), each cell listing its occupants, plus a bitmask of the row's
+    full slots; and one occupancy bitmask per register bus, tested
+    against per-slot span masks (a transfer holds
+    ``register_buses.latency`` consecutive modulo slots) built once
+    here.  Operations are addressed by their :func:`unit_of`.
+    ``place``/``remove`` keep the table consistent under the iterative
+    scheduler's eject-and-retry policy, and :meth:`first_free` finds the
+    first usable slot of an II-wide window with a few big-int
+    operations, never slot by slot.
     """
 
     def __init__(self, machine: MachineConfig, ii: int) -> None:
@@ -90,85 +113,123 @@ class ReservationTable:
             raise SchedulingError(f"II must be >= 1, got {ii}")
         self.machine = machine
         self.ii = ii
-        # (cluster, fu_kind, slot) -> list of iids (len <= units)
-        self._fu: Dict[Tuple[int, FuKind, int], List[int]] = {}
-        # (bus_index, slot) -> iid
-        self._bus: Dict[Tuple[int, int], int] = {}
+        # row -> unit count; row = cluster * len(FuKind) + kind index
+        self._units = [
+            machine.fu_per_cluster.get(kind, 0)
+            for _ in machine.clusters
+            for kind in FuKind
+        ]
+        # row -> slot -> occupant iids (at most `units` of them)
+        self._cells: List[List[List[int]]] = [
+            [[] for _ in range(ii)] for _ in self._units
+        ]
+        # row -> bitmask of the slots whose units are all taken
+        self._full = [0] * len(self._units)
+        self._all_slots = (1 << ii) - 1
+        # slot -> the modulo slots a transfer issued there holds
+        latency = machine.register_buses.latency
+        self._span_offsets = sorted({k % ii for k in range(latency)})
+        self._span_slots = [
+            [(slot + k) % ii for k in range(latency)] for slot in range(ii)
+        ]
+        self._span = [
+            sum({1 << s for s in slots}) for slots in self._span_slots
+        ]
+        # bus -> bitmask of occupied slots, and slot -> owner iid
+        self._bus = [0] * machine.register_buses.count
+        self._bus_owner: List[List[Optional[int]]] = [
+            [None] * ii for _ in self._bus
+        ]
         # iid -> bus index (for removal)
         self._bus_of: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _fu_free(self, instr: Instruction, cluster: int, slot: int) -> bool:
-        kind = instr.fu_kind
-        assert kind is not None
-        units = self.machine.fu_per_cluster.get(kind, 0)
-        if units == 0:
-            return False
-        taken = self._fu.get((cluster, kind, slot), [])
-        return len(taken) < units
-
-    def _bus_slots(self, slot: int) -> List[int]:
-        return [
-            (slot + k) % self.ii for k in range(self.machine.register_buses.latency)
-        ]
-
-    def _find_free_bus(self, slot: int) -> Optional[int]:
-        for bus in range(self.machine.register_buses.count):
-            if all((bus, s) not in self._bus for s in self._bus_slots(slot)):
+    def _free_bus(self, slot: int) -> Optional[int]:
+        span = self._span[slot]
+        for bus, occupied in enumerate(self._bus):
+            if not occupied & span:
                 return bus
         return None
 
-    # ------------------------------------------------------------------
     def fits(self, instr: Instruction, cluster: int, time: int) -> bool:
-        slot = time % self.ii
-        if instr.is_copy:
-            return self._find_free_bus(slot) is not None
-        return self._fu_free(instr, cluster, slot)
+        """Whether ``instr`` can issue in ``cluster`` at ``time``."""
+        return self.first_free(unit_of(instr, cluster), time) == time
 
-    def place(self, instr: Instruction, cluster: int, time: int) -> None:
+    def first_free(self, unit: int, start: int) -> Optional[int]:
+        """First time in ``[start, start + II)`` at which ``unit`` has room,
+        or ``None`` when every slot is taken."""
+        ii = self.ii
+        if unit == BUS:
+            # A transfer may start at slot s on a bus iff none of the
+            # slots s .. s+latency-1 is taken there: rotate each bus's
+            # occupancy back by every offset of the span.
+            free = 0
+            for occupied in self._bus:
+                blocked = 0
+                for k in self._span_offsets:
+                    blocked |= (occupied >> k) | (occupied << (ii - k))
+                free |= ~blocked
+            free &= self._all_slots
+        elif self._units[unit]:
+            free = self._all_slots & ~self._full[unit]
+        else:
+            return None
+        first = start % ii
+        later = free >> first
+        if later:
+            return start + (later & -later).bit_length() - 1
+        if free:
+            return start + ii - first + (free & -free).bit_length() - 1
+        return None
+
+    def place(self, unit: int, iid: int, time: int) -> None:
         slot = time % self.ii
-        if instr.is_copy:
-            bus = self._find_free_bus(slot)
+        if unit == BUS:
+            bus = self._free_bus(slot)
             if bus is None:
                 raise SchedulingError(
-                    f"no register bus free at slot {slot} for {instr.label}"
+                    f"no register bus free at slot {slot} for i{iid}"
                 )
-            for s in self._bus_slots(slot):
-                self._bus[(bus, s)] = instr.iid
-            self._bus_of[instr.iid] = bus
+            self._bus[bus] |= self._span[slot]
+            owner = self._bus_owner[bus]
+            for s in self._span_slots[slot]:
+                owner[s] = iid
+            self._bus_of[iid] = bus
             return
-        kind = instr.fu_kind
-        if not self._fu_free(instr, cluster, slot):
+        if not self._units[unit] or self._full[unit] >> slot & 1:
             raise SchedulingError(
-                f"{kind} unit busy in cluster {cluster} slot {slot} "
-                f"for {instr.label}"
+                f"unit row {unit} busy at slot {slot} for i{iid}"
             )
-        self._fu.setdefault((cluster, kind, slot), []).append(instr.iid)
+        cell = self._cells[unit][slot]
+        cell.append(iid)
+        if len(cell) == self._units[unit]:
+            self._full[unit] |= 1 << slot
 
-    def remove(self, instr: Instruction, cluster: int, time: int) -> None:
+    def remove(self, unit: int, iid: int, time: int) -> None:
         slot = time % self.ii
-        if instr.is_copy:
-            bus = self._bus_of.pop(instr.iid)
-            for s in self._bus_slots(slot):
-                if self._bus.get((bus, s)) == instr.iid:
-                    del self._bus[(bus, s)]
+        if unit == BUS:
+            bus = self._bus_of.pop(iid)
+            self._bus[bus] &= ~self._span[slot]
+            owner = self._bus_owner[bus]
+            for s in self._span_slots[slot]:
+                owner[s] = None
             return
-        self._fu[(cluster, instr.fu_kind, slot)].remove(instr.iid)
+        self._cells[unit][slot].remove(iid)
+        self._full[unit] &= ~(1 << slot)
 
-    def conflicting_ops(
-        self, instr: Instruction, cluster: int, time: int
-    ) -> List[int]:
-        """Operations that must be ejected to place ``instr`` here."""
+    def conflicting_ops(self, unit: int, time: int) -> List[int]:
+        """Operations that must be ejected to place an op of ``unit`` at
+        ``time``."""
         slot = time % self.ii
-        if instr.is_copy:
-            # Eject every transfer overlapping the first bus's window.
-            victims = []
-            for s in self._bus_slots(slot):
-                owner = self._bus.get((0, s))
-                if owner is not None and owner not in victims:
-                    victims.append(owner)
-            return victims
-        return list(self._fu.get((cluster, instr.fu_kind, slot), []))
+        if unit != BUS:
+            return list(self._cells[unit][slot])
+        # Eject every transfer overlapping the first bus's window.
+        victims: List[int] = []
+        for s in self._span_slots[slot] if self._bus_owner else ():
+            iid = self._bus_owner[0][s]
+            if iid is not None and iid not in victims:
+                victims.append(iid)
+        return victims
 
 
 @dataclass

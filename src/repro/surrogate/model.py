@@ -26,7 +26,9 @@ layer relies on for content-hashed artifact names.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, WorkloadError
@@ -161,11 +163,21 @@ def fit_boosted_stumps(
     n_features = len(x_rows[0])
     base = sum(y) / n
     preds = [base] * n
-    # Per-feature sort orders are reused every round.
-    orders = [
-        sorted(range(n), key=lambda i: x_rows[i][f])
-        for f in range(n_features)
-    ]
+    # Per feature, built once: the row order by value, and every split
+    # position (between consecutive distinct sorted values) with its
+    # midpoint threshold.
+    orders = []
+    splits = []
+    for f in range(n_features):
+        order = sorted(range(n), key=lambda i: x_rows[i][f])
+        column = [x_rows[i][f] for i in order]
+        cuts = [pos + 1 for pos in range(n - 1)
+                if column[pos] != column[pos + 1]]
+        orders.append(order)
+        splits.append((
+            cuts,
+            [(column[cnt - 1] + column[cnt]) / 2.0 for cnt in cuts],
+        ))
     stumps: List[List[float]] = []
     for _ in range(rounds):
         resid = [y[i] - preds[i] for i in range(n)]
@@ -173,23 +185,28 @@ def fit_boosted_stumps(
         best_gain = 1e-12
         best = None
         for f in range(n_features):
-            order = orders[f]
-            prefix = 0.0
-            for pos in range(n - 1):
-                i = order[pos]
-                prefix += resid[i]
-                left_v = x_rows[i][f]
-                right_v = x_rows[order[pos + 1]][f]
-                if left_v == right_v:
-                    continue
-                cnt = pos + 1
-                # SSE reduction of (left mean, right mean) vs zero.
-                gain = (prefix * prefix / cnt
-                        + (total - prefix) ** 2 / (n - cnt))
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (f, (left_v + right_v) / 2.0,
-                            prefix / cnt, (total - prefix) / (n - cnt))
+            cuts, thresholds = splits[f]
+            if not cuts:
+                continue
+            # prefix[cnt]: residual sum of the cnt smallest rows, added
+            # in sorted order.
+            prefix = list(accumulate(map(resid.__getitem__, orders[f]),
+                                     initial=0.0))
+            sums = [prefix[cnt] for cnt in cuts]
+            # SSE reduction of (left mean, right mean) vs zero.
+            gains = [
+                left * left / cnt + (total - left) ** 2 / (n - cnt)
+                for left, cnt in zip(sums, cuts)
+            ]
+            if not math.isfinite(total):
+                # Only then can a gain be NaN; a NaN never wins a split.
+                gains = [g if g == g else -math.inf for g in gains]
+            k = max(range(len(gains)), key=gains.__getitem__)
+            if gains[k] > best_gain:  # ties keep the first-found split
+                best_gain = gains[k]
+                cnt = cuts[k]
+                best = (f, thresholds[k], sums[k] / cnt,
+                        (total - sums[k]) / (n - cnt))
         if best is None:
             break  # residuals are flat (or all features constant)
         f, threshold, left, right = best

@@ -9,7 +9,7 @@ from repro.ir import Ddg, DdgBuilder, DepKind, Opcode
 from repro.sched.cluster import ClusterAssignment, HeuristicKind
 from repro.sched.mii import assignment_res_mii, minimum_ii, rec_mii, res_mii
 from repro.sched.modulo import modulo_schedule
-from repro.sched.schedule import ReservationTable, edge_latency
+from repro.sched.schedule import BUS, ReservationTable, edge_latency, unit_of
 
 
 class TestResMii:
@@ -100,7 +100,7 @@ class TestReservationTable:
         ddg = Ddg()
         a = ddg.add_instruction(Opcode.IALU, dest="a")
         b = ddg.add_instruction(Opcode.IALU, dest="b")
-        table.place(a, cluster=0, time=0)
+        table.place(unit_of(a, 0), a.iid, time=0)
         assert not table.fits(b, cluster=0, time=2)  # same modulo slot
         assert table.fits(b, cluster=0, time=1)
         assert table.fits(b, cluster=1, time=0)  # other cluster
@@ -109,8 +109,8 @@ class TestReservationTable:
         table = ReservationTable(BASELINE_CONFIG, ii=2)
         ddg = Ddg()
         a = ddg.add_instruction(Opcode.IALU, dest="a")
-        table.place(a, 0, 0)
-        table.remove(a, 0, 0)
+        table.place(unit_of(a, 0), a.iid, 0)
+        table.remove(unit_of(a, 0), a.iid, 0)
         assert table.fits(a, 0, 0)
 
     def test_copies_occupy_bus_for_latency_slots(self):
@@ -119,21 +119,39 @@ class TestReservationTable:
         copies = [
             ddg.add_instruction(Opcode.COPY, dest=f"c{k}") for k in range(5)
         ]
-        # 4 buses, each transfer holds 2 slots; slot 0 overlaps slot 3+1...
+        assert unit_of(copies[0], 0) == BUS
+        # 4 buses, each transfer holds 2 slots: [0, 1] on every bus.
         for k in range(4):
-            table.place(copies[k], 0, 0)
+            table.place(BUS, copies[k].iid, 0)
         assert not table.fits(copies[4], 0, 0)
-        assert not table.fits(copies[4], 0, 1)  # window [1,2] overlaps [0,1]?
-        # slot 2: windows [2,3] do not overlap [0,1]
-        assert table.fits(copies[4], 0, 2)
+        assert not table.fits(copies[4], 0, 1)  # [1, 2] overlaps [0, 1]
+        assert table.fits(copies[4], 0, 2)  # [2, 3] does not
+        assert table.first_free(BUS, 0) == 2
+        assert table.first_free(BUS, 3) == 6  # wraps past slot 3 to 2
+
+    def test_first_free_scans_the_window_with_wraparound(self):
+        table = ReservationTable(BASELINE_CONFIG, ii=4)
+        ddg = Ddg()
+        ops = [
+            ddg.add_instruction(Opcode.IALU, dest=f"r{k}") for k in range(4)
+        ]
+        unit = unit_of(ops[0], 2)
+        for time in (1, 2, 3):
+            table.place(unit, ops[time].iid, time)
+        assert table.first_free(unit, 0) == 0
+        assert table.first_free(unit, 5) == 8  # slots 1-3 taken; slot 0
+        table.place(unit, ops[0].iid, 4)
+        assert table.first_free(unit, 5) is None
+        table.remove(unit, ops[2].iid, 2)
+        assert table.first_free(unit, 3) == 6
 
     def test_conflicting_ops_reports_victims(self):
         table = ReservationTable(BASELINE_CONFIG, ii=1)
         ddg = Ddg()
         a = ddg.add_instruction(Opcode.IALU, dest="a")
         b = ddg.add_instruction(Opcode.IALU, dest="b")
-        table.place(a, 0, 0)
-        assert table.conflicting_ops(b, 0, 0) == [a.iid]
+        table.place(unit_of(a, 0), a.iid, 0)
+        assert table.conflicting_ops(unit_of(b, 0), 0) == [a.iid]
 
 
 class TestModuloScheduler:
