@@ -38,7 +38,7 @@ from repro.api.artifacts import (
     reset_artifact_stats,
     set_default_artifact_store,
 )
-from repro.api.core import execute_benchmark, execute_spec
+from repro.api.core import execute_spec
 from repro.api.journal import JournalState, RunJournal, journal_root
 from repro.api.records import (
     LoopRecord,
@@ -62,7 +62,6 @@ from repro.api.spec import (
     RunSpec,
     Variant,
     default_scale,
-    machine_fingerprint,
     parse_variant,
     resolve_machine,
     spec_cache_key,
@@ -110,9 +109,7 @@ __all__ = [
     "journal_root",
     "default_scale",
     "default_store",
-    "execute_benchmark",
     "execute_spec",
-    "machine_fingerprint",
     "parse_variant",
     "records_to_csv",
     "records_to_json",

@@ -283,12 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="result store to train from (and save the artifact under)")
     p_sur_train.add_argument(
-        "--model-type", default=None, metavar="T",
-        help="predictor family: gbs (boosted stumps, default) or ridge")
-    p_sur_train.add_argument(
-        "--ridge-lambda", type=float, default=None, metavar="L",
-        help="L2 regularization strength (default: 1.0)")
-    p_sur_train.add_argument(
         "--holdout-frac", type=float, default=None, metavar="F",
         help="held-out fraction for the error report (default: 0.2)")
     p_sur_train.add_argument(
@@ -821,22 +815,15 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _cmd_surrogate(args: argparse.Namespace) -> int:
     from repro.surrogate import (
         DEFAULT_HOLDOUT_FRAC,
-        DEFAULT_RIDGE_LAMBDA,
         save_model,
         train_from_store,
     )
 
     store = DiskStore(args.cache_dir)
-    kwargs = {}
-    if args.model_type is not None:
-        kwargs["model_type"] = args.model_type
     model = train_from_store(
         store,
-        ridge_lambda=(args.ridge_lambda if args.ridge_lambda is not None
-                      else DEFAULT_RIDGE_LAMBDA),
         holdout_frac=(args.holdout_frac if args.holdout_frac is not None
                       else DEFAULT_HOLDOUT_FRAC),
-        **kwargs,
     )
     text = model.summary()
     if not args.no_save:

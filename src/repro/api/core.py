@@ -101,30 +101,6 @@ def warn_floor_from_record(record: RunRecord) -> None:
             return
 
 
-def execute_spec(spec: RunSpec,
-                 artifacts: Optional[ArtifactStore] = None) -> RunRecord:
-    """Compile + simulate the work a spec declares (no result caching).
-
-    ``artifacts`` (default: the process-wide store) shares front-end
-    compilation stages with every other spec run in this process.
-    """
-    machine = resolve_machine(spec)
-    with trace.span(f"spec:{spec.benchmark}/{spec.variant}", cat="spec",
-                    machine=spec.machine, spec_key=spec.content_hash):
-        return execute_benchmark(
-            spec.benchmark,
-            spec.variant_obj,
-            machine,
-            scale=spec.scale,
-            attraction=spec.attraction,
-            loop=spec.loop,
-            seeds=spec.seeds,
-            spec_key=spec.content_hash,
-            artifacts=artifacts,
-            model=spec.model,
-        )
-
-
 def _select_loops(bench: Benchmark, name: str, loop: Optional[str]):
     loops = bench.loops
     if loop is not None:
@@ -138,39 +114,38 @@ def _select_loops(bench: Benchmark, name: str, loop: Optional[str]):
     return loops
 
 
-def execute_benchmark(
-    name: str,
-    variant: Variant,
-    machine: MachineConfig,
-    scale: float,
-    attraction: bool = False,
-    loop: Optional[str] = None,
-    seeds: Optional[Tuple[int, int]] = None,
-    spec_key: str = "",
-    artifacts: Optional[ArtifactStore] = None,
-    model: str = "snooping",
-) -> RunRecord:
-    """Run every loop (or one named loop) of a benchmark on an already
-    *effective* machine — interleave and Attraction Buffers applied."""
+def execute_spec(spec: RunSpec,
+                 artifacts: Optional[ArtifactStore] = None) -> RunRecord:
+    """Compile + simulate the work a spec declares (no result caching):
+    every loop (or the one named loop) of the benchmark, on the spec's
+    *effective* machine — interleave and Attraction Buffers applied.
+
+    ``artifacts`` (default: the process-wide store) shares front-end
+    compilation stages with every other spec run in this process.
+    """
     if artifacts is None:
         artifacts = default_artifact_store()
-    bench = get_benchmark(name)
-    loops = _select_loops(bench, name, loop)
-    record = RunRecord(
-        benchmark=name,
-        variant=variant.key,
-        machine=machine.name,
-        attraction=attraction,
-        scale=scale,
-        spec_key=spec_key,
-        model=model,
-    )
-    for loop_spec in loops:
-        record.loops.append(
-            _run_loop(bench, loop_spec, variant, machine, scale, seeds,
-                      artifacts, model)
+    machine = resolve_machine(spec)
+    variant = spec.variant_obj
+    with trace.span(f"spec:{spec.benchmark}/{spec.variant}", cat="spec",
+                    machine=spec.machine, spec_key=spec.content_hash):
+        bench = get_benchmark(spec.benchmark)
+        loops = _select_loops(bench, spec.benchmark, spec.loop)
+        record = RunRecord(
+            benchmark=spec.benchmark,
+            variant=variant.key,
+            machine=machine.name,
+            attraction=spec.attraction,
+            scale=spec.scale,
+            spec_key=spec.content_hash,
+            model=spec.model,
         )
-    return record
+        for loop_spec in loops:
+            record.loops.append(
+                _run_loop(bench, loop_spec, variant, machine, spec.scale,
+                          spec.seeds, artifacts, spec.model)
+            )
+        return record
 
 
 def _run_loop(
@@ -179,9 +154,9 @@ def _run_loop(
     variant: Variant,
     machine: MachineConfig,
     scale: float,
-    seeds: Optional[Tuple[int, int]] = None,
-    artifacts: Optional[ArtifactStore] = None,
-    model: str = "snooping",
+    seeds: Optional[Tuple[int, int]],
+    artifacts: ArtifactStore,
+    model: str,
 ) -> LoopRecord:
     """Compile one loop, build its execution trace and simulate it."""
     profile_seed, execute_seed = seeds or (bench.profile_seed,

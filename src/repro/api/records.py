@@ -1,11 +1,10 @@
 """Structured run results.
 
 :class:`RunRecord` (one benchmark × variant × machine) and
-:class:`LoopRecord` (one loop thereof) subsume the legacy
-``BenchmarkRun``/``LoopRun`` pair: they expose the same aggregate
-properties the figure/table drivers consume, *and* round-trip through
-plain dicts so they can live in an on-disk :class:`~repro.api.store.DiskStore`
-and cross ``multiprocessing`` pickling boundaries as pure JSON.
+:class:`LoopRecord` (one loop thereof) expose the aggregate properties
+the figure/table drivers consume, *and* round-trip through plain dicts
+so they can live in an on-disk :class:`~repro.api.store.DiskStore` and
+cross ``multiprocessing`` pickling boundaries as pure JSON.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ class RunRecord:
     source: str = field(default="simulated", compare=False)
 
     # ------------------------------------------------------------------
-    # Aggregates (the BenchmarkRun surface the drivers consume)
+    # Aggregates (the surface the drivers consume)
     # ------------------------------------------------------------------
     @property
     def compute_cycles(self) -> int:

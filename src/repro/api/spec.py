@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.arch.config import MachineConfig, named_config, split_model_suffix
 from repro.errors import ConfigError
-from repro.hashing import digest, jsonable
+from repro.hashing import digest
 from repro.sched.pipeline import CoherenceMode, Heuristic
 
 #: Benchmarks on the figures' x-axes, in the paper's order.
@@ -115,28 +115,6 @@ def parse_variant(key: Union[str, Variant]) -> Variant:
     return Variant(coherence, heuristic)
 
 
-# ----------------------------------------------------------------------
-# Canonical hashing helpers (shared discipline: repro.hashing)
-# ----------------------------------------------------------------------
-#: Backwards-compatible aliases — the canonical helpers moved to
-#: :mod:`repro.hashing` so layers below the API (stage keys in
-#: :mod:`repro.sched.stages`) share the same digest discipline.
-_jsonable = jsonable
-_digest = digest
-
-
-def machine_fingerprint(config: MachineConfig) -> str:
-    """Stable hash of *every* field of a machine configuration.
-
-    Unlike ``config.name``, the fingerprint distinguishes configurations
-    that share a name but differ structurally (e.g. a config before and
-    after :meth:`~repro.arch.config.MachineConfig.with_attraction_buffers`
-    or with a different interleave factor).  Equivalent to
-    :meth:`MachineConfig.fingerprint`.
-    """
-    return config.fingerprint()
-
-
 def spec_cache_key(
     benchmark: str,
     variant: str,
@@ -150,9 +128,8 @@ def spec_cache_key(
 
     ``machine`` must be the *effective* configuration — benchmark
     interleave and Attraction Buffers already applied — so two keys
-    collide only for byte-identical work.  Single source of truth for
-    both :attr:`RunSpec.content_hash` and the legacy ``run_benchmark``
-    shim's ad-hoc-config path.
+    collide only for byte-identical work.  The single source of truth
+    for :attr:`RunSpec.content_hash`.
 
     The memory model enters the digest only when it is not the default
     snooping protocol, so every pre-model cache entry keeps its key.
@@ -160,7 +137,7 @@ def spec_cache_key(
     payload = {
         "benchmark": benchmark,
         "variant": variant,
-        "machine": machine_fingerprint(machine),
+        "machine": machine.fingerprint(),
         "scale": scale,
         "loop": loop,
         "seeds": seeds,
@@ -168,7 +145,7 @@ def spec_cache_key(
     }
     if model != "snooping":
         payload["model"] = model
-    return _digest(payload)
+    return digest(payload)
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +257,9 @@ class RunSpec:
         so sibling variants land in the same worker and hit each other's
         warm artifacts.
         """
-        return _digest({
+        return digest({
             "benchmark": self.benchmark,
-            "machine": machine_fingerprint(self.resolved_machine()),
+            "machine": self.resolved_machine().fingerprint(),
             "loop": self.loop,
             "seeds": self.seeds,
             "profile_iterations": PROFILE_ITERATIONS,
@@ -443,7 +420,7 @@ class Plan:
 
     @property
     def content_hash(self) -> str:
-        return _digest([spec.content_hash for spec in self.specs])
+        return digest([spec.content_hash for spec in self.specs])
 
     def to_dicts(self) -> Sequence[Dict[str, object]]:
         return [spec.to_dict() for spec in self.specs]

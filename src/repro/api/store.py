@@ -74,9 +74,9 @@ def resolve_cache_root(root: Union[str, Path, None] = None) -> Path:
 
 def shard_prefix(key: str) -> str:
     """The shard directory a key lives in: first two hex chars of its
-    SHA-1.  Keys carry heterogeneous human prefixes (``unroll-…``,
-    ``adhoc-…``), so sharding on a hash of the whole key keeps the 256
-    shards uniformly filled regardless of the keyspace."""
+    SHA-1.  Keys carry heterogeneous human prefixes (e.g. the
+    ``unroll-…`` stage keys), so sharding on a hash of the whole key
+    keeps the 256 shards uniformly filled regardless of the keyspace."""
     return hashlib.sha1(key.encode("utf-8")).hexdigest()[:2]
 
 

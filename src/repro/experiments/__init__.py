@@ -5,14 +5,7 @@ plain-text equivalent of the paper's table or figure; the
 ``benchmarks/`` tree wraps them in pytest-benchmark entry points.
 """
 
-from repro.experiments.common import (
-    ALL_VARIANTS,
-    BenchmarkRun,
-    EVALUATED,
-    LoopRun,
-    Variant,
-    run_benchmark,
-)
+from repro.api.spec import ALL_VARIANTS, EVALUATED, Variant
 from repro.experiments.figure6 import Figure6Result, run_figure6
 from repro.experiments.figure7 import Figure7Result, run_figure7
 from repro.experiments.figure9 import Figure9Result, run_figure9
@@ -22,11 +15,8 @@ from repro.experiments.nobal import NobalResult, run_nobal
 
 __all__ = [
     "ALL_VARIANTS",
-    "BenchmarkRun",
     "EVALUATED",
-    "LoopRun",
     "Variant",
-    "run_benchmark",
     "Figure6Result",
     "run_figure6",
     "Figure7Result",

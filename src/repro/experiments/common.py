@@ -1,146 +1,25 @@
-"""Legacy experiment surface — thin shims over :mod:`repro.api`.
+"""The one record source every experiment driver shares.
 
-Historically this module owned the variant vocabulary, the per-process
-``_RUN_CACHE`` and the ``run_benchmark`` entry point.  All of that moved
-into the declarative :mod:`repro.api` layer (``RunSpec``/``Plan``/
-``Runner``/``ResultStore``); this module re-exports the vocabulary and
-keeps deprecated, behavior-compatible wrappers so existing callers and
-tests continue to work.
-
-New code should use::
-
-    from repro.api import Plan, Runner, RunSpec, run
+Each figure/table driver is a grid of (benchmark, variant) cells on one
+named machine; :func:`fetch_records` runs that grid as a
+:class:`~repro.api.spec.Plan` through a
+:class:`~repro.api.runner.Runner`, so every record the drivers report
+comes from ``RunSpec → Runner`` and shares the runner's result store.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.api.core import execute_benchmark
-from repro.api.records import LoopRecord, RunRecord
+from repro.api.records import RunRecord
 from repro.api.runner import Runner
-from repro.api.spec import (
-    ALL_VARIANTS,
-    DDGT_MIN,
-    DDGT_PREF,
-    EVALUATED,
-    FIGURE7_BARS,
-    FREE_MIN,
-    FREE_PREF,
-    MDC_MIN,
-    MDC_PREF,
-    PROFILE_ITERATIONS,
-    Plan,
-    RunSpec,
-    Variant,
-    default_scale,
-    spec_cache_key,
-)
-from repro.api.store import ResultStore, default_store
-from repro.arch.config import BASELINE_CONFIG, MachineConfig, _NAMED
-
-#: Deprecated aliases — the records subsume the old result dataclasses.
-LoopRun = LoopRecord
-BenchmarkRun = RunRecord
-
-__all__ = [
-    "ALL_VARIANTS",
-    "BenchmarkRun",
-    "DDGT_MIN",
-    "DDGT_PREF",
-    "EVALUATED",
-    "FIGURE7_BARS",
-    "FREE_MIN",
-    "FREE_PREF",
-    "LoopRun",
-    "MDC_MIN",
-    "MDC_PREF",
-    "PROFILE_ITERATIONS",
-    "Variant",
-    "clear_cache",
-    "default_scale",
-    "run_benchmark",
-]
-
-
-def clear_cache() -> None:
-    """Deprecated: clear the process-wide default ResultStore.
-
-    Use ``repro.api.default_store().clear()`` (or inject your own store
-    into a :class:`~repro.api.runner.Runner`) instead.
-    """
-    warnings.warn(
-        "clear_cache() is deprecated; use repro.api.default_store().clear()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    default_store().clear()
-
-
-def is_registered(config: MachineConfig) -> bool:
-    """Whether ``config`` is (structurally equal to) a named registry
-    configuration, i.e. addressable by name from a :class:`RunSpec`."""
-    return _NAMED.get(config.name) == config
-
-
-def run_benchmark(
-    name: str,
-    variant: Variant,
-    config: MachineConfig = BASELINE_CONFIG,
-    attraction: bool = False,
-    scale: Optional[float] = None,
-    store: Optional[ResultStore] = None,
-) -> RunRecord:
-    """Deprecated: compile + simulate every loop of a benchmark (cached).
-
-    Equivalent to ``repro.api.run(RunSpec(...))``.  Kept for backward
-    compatibility; shares the default ResultStore with the new API, so
-    mixed old/new callers never repeat a simulation.
-    """
-    if scale is None:
-        scale = default_scale()
-    if is_registered(config):
-        spec = RunSpec(
-            benchmark=name,
-            variant=variant.key,
-            machine=config.name,
-            attraction=attraction,
-            scale=scale,
-        )
-        return Runner(store=store).run_one(spec)
-
-    # Ad-hoc (unnamed) machine configuration: key the cache by the
-    # *effective* machine fingerprint — after the benchmark interleave
-    # and with_attraction_buffers() are applied — so two configs sharing
-    # a name never collide.
-    from repro.workloads.catalog import get_benchmark
-
-    bench = get_benchmark(name)
-    machine = bench.machine(config)
-    if attraction:
-        machine = machine.with_attraction_buffers()
-    key = "adhoc-" + spec_cache_key(
-        benchmark=name, variant=variant.key, machine=machine,
-        scale=float(scale), loop=None, seeds=None,
-    )
-    if store is None:
-        store = default_store()
-    cached = store.get(key)
-    if cached is not None:
-        return cached
-    record = execute_benchmark(
-        name, variant, machine, scale=float(scale), attraction=attraction,
-        spec_key=key,
-    )
-    store.put(key, record)
-    return record
+from repro.api.spec import Plan, Variant
 
 
 def fetch_records(
     names: Iterable[str],
     variants: Iterable[Variant],
-    config: MachineConfig,
+    machine: str,
     scale: Optional[float],
     attraction: bool,
     runner: Runner,
@@ -148,29 +27,16 @@ def fetch_records(
 ) -> Dict[Tuple[str, str], RunRecord]:
     """``(benchmark, variant key) -> RunRecord`` for one driver grid.
 
-    Named registry configs go through the runner as a :class:`Plan` —
-    streamed, so a ``progress`` callback (``(done, total, record)``) sees
-    every completion live; an ad-hoc :class:`MachineConfig` falls back to
-    :func:`run_benchmark`, which keys the runner's store by the
-    effective-machine fingerprint — so custom configs are honored
-    instead of silently replaced by their namesake.
+    ``machine`` is any registry name, including a self-describing
+    ``gen-…`` geometry.  The plan is streamed, so a ``progress``
+    callback (``(done, total, record)``) sees every completion live.
     """
-    variants = tuple(variants)
-    if is_registered(config):
-        plan = Plan.grid(
-            benchmarks=list(names),
-            variants=variants,
-            machines=config.name,
-            attraction=attraction,
-            scale=scale,
-        )
-        records = runner.run(plan, progress=progress)
-        return {(r.benchmark, r.variant): r for r in records}
-    return {
-        (name, variant.key): run_benchmark(
-            name, variant, config=config, attraction=attraction,
-            scale=scale, store=runner.store,
-        )
-        for name in names
-        for variant in variants
-    }
+    plan = Plan.grid(
+        benchmarks=list(names),
+        variants=tuple(variants),
+        machines=machine,
+        attraction=attraction,
+        scale=scale,
+    )
+    records = runner.run(plan, progress=progress)
+    return {(r.benchmark, r.variant): r for r in records}

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.report import format_table
 from repro.api.runner import Runner, default_runner
 from repro.api.spec import EVALUATED, FIGURE7_BARS, FREE_MIN, Variant
-from repro.arch.config import BASELINE_CONFIG, MachineConfig
 from repro.experiments.common import fetch_records
 
 
@@ -78,7 +77,7 @@ class Figure7Result:
 
 def run_figure7(
     benchmarks: Optional[List[str]] = None,
-    config: MachineConfig = BASELINE_CONFIG,
+    machine: str = "baseline",
     scale: Optional[float] = None,
     attraction: bool = False,
     bars: Tuple[Variant, ...] = FIGURE7_BARS,
@@ -89,7 +88,7 @@ def run_figure7(
     names = list(benchmarks) if benchmarks is not None else list(EVALUATED)
     runner = runner if runner is not None else default_runner()
     records = fetch_records(
-        names, (FREE_MIN,) + tuple(bars), config, scale, attraction, runner,
+        names, (FREE_MIN,) + tuple(bars), machine, scale, attraction, runner,
         progress=progress,
     )
 

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional
 
 from repro.api.runner import Runner, default_runner
 from repro.api.spec import DDGT_PREF, EVALUATED, MDC_PREF
-from repro.arch.config import BASELINE_CONFIG, MachineConfig
 from repro.experiments.common import fetch_records
 from repro.experiments.figure7 import Figure7Result, run_figure7
 
@@ -40,21 +39,21 @@ class Figure9Result:
 
 def run_figure9(
     benchmarks: Optional[List[str]] = None,
-    config: MachineConfig = BASELINE_CONFIG,
+    machine: str = "baseline",
     scale: Optional[float] = None,
     runner: Optional[Runner] = None,
     progress=None,
 ) -> Figure9Result:
     runner = runner if runner is not None else default_runner()
     figure = run_figure7(
-        benchmarks=benchmarks, config=config, scale=scale, attraction=True,
+        benchmarks=benchmarks, machine=machine, scale=scale, attraction=True,
         runner=runner, progress=progress,
     )
     result = Figure9Result(figure=figure)
     names = benchmarks if benchmarks is not None else EVALUATED
     if "epicdec" in names:
         records = fetch_records(
-            ["epicdec"], (MDC_PREF, DDGT_PREF), config, scale, True, runner,
+            ["epicdec"], (MDC_PREF, DDGT_PREF), machine, scale, True, runner,
             progress=progress,
         )
         for variant, bar in ((MDC_PREF, "MDC"), (DDGT_PREF, "DDGT")):

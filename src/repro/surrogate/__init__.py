@@ -14,7 +14,7 @@ Modules:
 
 * :mod:`~repro.surrogate.features` — deterministic cell featurizer and
   the feature schema (named slots + content hash);
-* :mod:`~repro.surrogate.model` — pure-python ridge regressor with
+* :mod:`~repro.surrogate.model` — pure-python boosted-stump regressor with
   byte-stable JSON artifacts and active-learning ``refit_with``;
 * :mod:`~repro.surrogate.train` — training from ``RunRecord``s in any
   store, deterministic held-out MAE / rank-correlation report;
@@ -40,7 +40,6 @@ from repro.surrogate.guide import (
     top_fraction_keys,
 )
 from repro.surrogate.model import (
-    DEFAULT_RIDGE_LAMBDA,
     TARGETS,
     SurrogateModel,
     TrainRow,
@@ -82,7 +81,6 @@ __all__ = [
     "interest_scores",
     "select_frontier",
     "top_fraction_keys",
-    "DEFAULT_RIDGE_LAMBDA",
     "TARGETS",
     "SurrogateModel",
     "TrainRow",

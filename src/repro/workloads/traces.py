@@ -42,13 +42,9 @@ def splitmix64(x: int) -> int:
     return x
 
 
-#: Backwards-compatible private alias (pre-1.2 internal name).
-_splitmix64 = splitmix64
-
-
 def _mix(seed: int, space_hash: int, salt: int, iteration: int) -> int:
-    return _splitmix64(
-        seed ^ _splitmix64(space_hash ^ _splitmix64(salt ^ iteration))
+    return splitmix64(
+        seed ^ splitmix64(space_hash ^ splitmix64(salt ^ iteration))
     )
 
 
@@ -107,7 +103,7 @@ class AddressTrace:
                     base += shift * 4
             self._bases[space] = base
         self._space_hash = {
-            space: _splitmix64(sum(ord(c) << (8 * (i % 8)) for i, c in enumerate(space)))
+            space: splitmix64(sum(ord(c) << (8 * (i % 8)) for i, c in enumerate(space)))
             for space in spaces
         }
 

@@ -1,13 +1,12 @@
-"""Runner: caching semantics, parallel/serial equivalence, shims."""
+"""Runner: caching semantics, parallel/serial equivalence, drivers."""
 
 import pytest
 
 from repro.api.records import RunRecord
 from repro.api.runner import Runner, run
-from repro.api.spec import MDC_PREF, Plan, RunSpec
+from repro.api.spec import DDGT_PREF, MDC_PREF, Plan, RunSpec
 from repro.api.store import MemoryStore, set_default_store
-from repro.arch.config import BASELINE_CONFIG
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 
 SCALE = 0.1
 PLAN = Plan.grid(
@@ -211,39 +210,20 @@ class TestFrontendGrouping:
                    artifacts=PlainCustom()).run(Plan(PLAN.specs[:2]))
 
 
-class TestLegacyRunBenchmark:
-    def test_shares_store_with_new_api(self, store):
-        from repro.experiments.common import run_benchmark
-
-        previous = set_default_store(store)
-        try:
-            spec = RunSpec(benchmark="gsmdec", variant=MDC_PREF.key,
-                           scale=SCALE)
-            record = run(spec)
-            assert store.puts == 1
-            legacy = run_benchmark("gsmdec", MDC_PREF, scale=SCALE)
-            assert store.puts == 1, "legacy path must reuse the new cache"
-            assert legacy.to_dict() == record.to_dict()
-        finally:
-            set_default_store(previous)
-
+class TestDriverMachines:
     def test_drivers_honor_adhoc_configs(self, store):
-        """A custom MachineConfig passed to a figure driver must actually
-        be simulated, not silently swapped for its registry namesake."""
-        from dataclasses import replace
-
+        """A figure driver must simulate the machine it is given: a
+        ``gen-…`` name reaches any geometry, here the baseline with a
+        4x next-level latency."""
         from repro.experiments.figure7 import run_figure7
 
-        slow_next_level = replace(
-            BASELINE_CONFIG,
-            next_level=replace(BASELINE_CONFIG.next_level, latency=40),
-        )
-        assert slow_next_level.name == "baseline"
         previous = set_default_store(store)
         try:
             stock = run_figure7(["gsmdec"], scale=SCALE)
-            custom = run_figure7(["gsmdec"], config=slow_next_level,
-                                 scale=SCALE)
+            custom = run_figure7(
+                ["gsmdec"], machine="gen-c4-mb4x2-rb4x2-cm2048b32a2-nl40p4",
+                scale=SCALE,
+            )
         finally:
             set_default_store(previous)
         assert (custom.baseline_cycles["gsmdec"]
@@ -251,21 +231,29 @@ class TestLegacyRunBenchmark:
             "a 4x next-level latency must change absolute cycle counts"
         )
 
-    def test_adhoc_config_keyed_by_effective_machine(self, store):
-        """Same config name, different structure -> different cache keys."""
-        from dataclasses import replace
+    def test_unknown_machine_is_a_clean_error(self, store):
+        from repro.experiments.figure7 import run_figure7
 
-        from repro.experiments.common import run_benchmark
+        with pytest.raises(ConfigError, match="no-such-machine"):
+            run_figure7(["gsmdec"], machine="no-such-machine", scale=SCALE,
+                        runner=Runner(store=store))
+        assert store.puts == 0
 
-        custom = replace(BASELINE_CONFIG)  # same name, not the registry obj
-        weird = replace(BASELINE_CONFIG,
-                        cache=replace(BASELINE_CONFIG.cache, hit_latency=2))
-        assert custom.name == weird.name == "baseline"
-        previous = set_default_store(store)
-        try:
-            a = run_benchmark("gsmdec", MDC_PREF, config=custom, scale=SCALE)
-            b = run_benchmark("gsmdec", MDC_PREF, config=weird, scale=SCALE)
-        finally:
-            set_default_store(previous)
-        assert store.puts == 2, "structurally different configs must not collide"
-        assert a.spec_key != b.spec_key
+    def test_fetch_records_keys_every_cell_of_the_grid(self, store):
+        from repro.experiments.common import fetch_records
+
+        machine = "nobal+reg"
+        records = fetch_records(
+            ["gsmdec", "gsmenc"], (MDC_PREF, DDGT_PREF), machine, SCALE,
+            attraction=False, runner=Runner(store=store),
+        )
+        assert sorted(records) == sorted(
+            (name, variant.key)
+            for name in ("gsmdec", "gsmenc")
+            for variant in (MDC_PREF, DDGT_PREF)
+        )
+        for (name, key), record in records.items():
+            spec = RunSpec(benchmark=name, variant=key, machine=machine,
+                           scale=SCALE)
+            assert record.spec_key == spec.content_hash
+        assert store.puts == len(records)

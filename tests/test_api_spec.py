@@ -15,7 +15,6 @@ from repro.api.spec import (
     RunSpec,
     Variant,
     default_scale,
-    machine_fingerprint,
     parse_variant,
 )
 from repro.arch.config import BASELINE_CONFIG, NOBAL_REG_CONFIG
@@ -124,14 +123,29 @@ class TestContentHash:
         )
         assert out.stdout.strip() == spec.content_hash
 
-    def test_machine_fingerprint_sees_structure_not_name(self):
+    @pytest.mark.parametrize("fields, expected", [
+        (dict(benchmark="gsmdec", variant="mdc/prefclus", scale=0.2),
+         "4f0db10bc5be72a9"),
+        (dict(benchmark="epicdec", variant="ddgt/mincoms",
+              machine="nobal+reg", scale=0.5, attraction=True),
+         "31babd279c3e8939"),
+        (dict(benchmark="gsmdec", variant="mdc/prefclus",
+              machine="gen-c4-mb4x2-rb4x2-cm2048b32a2-nl40p4", scale=0.1),
+         "40661230895a4205"),
+    ], ids=["baseline", "nobal-reg-ab", "generated"])
+    def test_content_hash_is_pinned(self, fields, expected):
+        """Every stored record is keyed by this digest, so its payload
+        must not drift: a changed value orphans every existing cache."""
+        assert RunSpec(**fields).content_hash == expected
+
+    def test_config_fingerprint_sees_structure_not_name(self):
         """Two configs sharing a name but differing structurally must not
         collide (the old cache keyed on config.name alone)."""
         plain = BASELINE_CONFIG
         with_ab = BASELINE_CONFIG.with_attraction_buffers()
-        assert machine_fingerprint(plain) != machine_fingerprint(with_ab)
+        assert plain.fingerprint() != with_ab.fingerprint()
         renamed = NOBAL_REG_CONFIG
-        assert machine_fingerprint(plain) != machine_fingerprint(renamed)
+        assert plain.fingerprint() != renamed.fingerprint()
 
 
 class TestPlan:

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.api.records import LoopRecord, RunRecord
 from repro.api.store import (
     DiskStore,
@@ -214,17 +212,3 @@ class TestDefaultStore:
         finally:
             set_default_store(previous)
         assert default_store() is previous
-
-
-class TestLegacyClearCache:
-    def test_clear_cache_clears_default_store(self):
-        from repro.experiments.common import clear_cache
-
-        previous = set_default_store(MemoryStore())
-        try:
-            default_store().put("k", make_record())
-            with pytest.warns(DeprecationWarning):
-                clear_cache()
-            assert default_store().get("k") is None
-        finally:
-            set_default_store(previous)

@@ -35,6 +35,7 @@ from repro.surrogate import (
     interest_scores,
     list_model_ids,
     load_model,
+    load_models,
     rank_correlation,
     record_targets,
     rows_from_records,
@@ -44,6 +45,7 @@ from repro.surrogate import (
     train_from_records,
     train_from_rows,
 )
+from repro.surrogate.model import MODEL_SCHEMA
 
 SCN = "scn-gather-n24-m45-r2-a30-s7"
 
@@ -140,9 +142,8 @@ def _synthetic_rows(n: int = 24):
 
 
 class TestModelTraining:
-    @pytest.mark.parametrize("model_type", ["gbs", "ridge"])
-    def test_roundtrip_is_byte_stable(self, model_type):
-        model = train_from_rows(_synthetic_rows(), model_type=model_type)
+    def test_roundtrip_is_byte_stable(self):
+        model = train_from_rows(_synthetic_rows())
         text = model.to_json()
         clone = SurrogateModel.from_json(text)
         assert clone.to_json() == text, "load -> dump must be byte-identical"
@@ -150,17 +151,14 @@ class TestModelTraining:
         vector = _synthetic_rows()[0].features
         assert clone.predict(vector) == model.predict(vector)
 
-    @pytest.mark.parametrize("model_type", ["gbs", "ridge"])
-    def test_learns_to_rank_the_training_targets(self, model_type):
+    def test_learns_to_rank_the_training_targets(self):
         rows = _synthetic_rows(32)
-        model = train_from_rows(rows, model_type=model_type,
-                                holdout_frac=0.0)
+        model = train_from_rows(rows, holdout_frac=0.0)
         for target in TARGETS:
             predicted = [model.predict(r.features)[target] for r in rows]
             actual = [r.targets[target] for r in rows]
             assert rank_correlation(predicted, actual) > 0.8, (
-                f"{model_type} failed to rank {target} on its own "
-                f"training set"
+                f"failed to rank {target} on its own training set"
             )
 
     def test_holdout_metrics_are_reported(self):
@@ -171,13 +169,18 @@ class TestModelTraining:
             }
         assert any(model.metrics[t]["holdout"] > 0 for t in TARGETS)
 
+    def test_holdout_split_depends_on_cell_keys_not_row_order(self):
+        rows = _synthetic_rows(32)
+        forward = train_from_rows(rows)
+        backward = train_from_rows(list(reversed(rows)))
+        for target in TARGETS:
+            held = forward.metrics[target]["holdout"]
+            assert 0 < held < len(rows)
+            assert backward.metrics[target]["holdout"] == held
+
     def test_too_few_rows_is_a_clean_error(self):
         with pytest.raises(WorkloadError):
             train_from_rows(_synthetic_rows(4))
-
-    def test_unknown_model_type_is_a_clean_error(self):
-        with pytest.raises(WorkloadError):
-            train_from_rows(_synthetic_rows(), model_type="forest")
 
     def test_schema_mismatch_refuses_to_predict(self):
         model = train_from_rows(_synthetic_rows())
@@ -193,7 +196,6 @@ class TestModelTraining:
                          targets={"ipc": 9.0, "ii": 1.0, "traffic": 0.0})
         refit = model.refit_with([fresh])
         assert refit.train_size == model.train_size
-        assert refit.model_type == model.model_type
         kept = {row.key: row for row in refit.rows}[stale.key]
         assert kept.targets["ipc"] == 9.0
 
@@ -300,6 +302,42 @@ class TestModelStore:
             load_model("latest", tmp_path)
         with pytest.raises(ConfigError):
             load_model("deadbeef00000000", tmp_path)
+
+    def test_unknown_schema_is_refused_by_name(self):
+        model = train_from_rows(_synthetic_rows())
+        future = dict(model.to_dict(), schema=MODEL_SCHEMA + 1)
+        with pytest.raises(ConfigError,
+                           match=f"schema {MODEL_SCHEMA + 1}"):
+            SurrogateModel.from_json(json.dumps(future))
+
+    def test_schema_1_artifact_is_refused_and_skipped(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Artifacts are input from outside the program: a schema-1 file
+        (the ridge-era format, with its standardization and weight
+        fields) must be refused by name on load and skipped by the
+        listing, never crash it."""
+        model = train_from_rows(_synthetic_rows())
+        save_model(model, tmp_path)
+        legacy = dict(model.to_dict(), schema=1, means=[0.0], scales=[1.0],
+                      weights={"ipc": [0.0]})
+        legacy_id = "0" * 16
+        path = tmp_path / "surrogate" / f"model-{legacy_id}.json"
+        path.write_text(json.dumps(legacy, sort_keys=True), encoding="utf-8")
+
+        with pytest.raises(ConfigError, match="schema 1"):
+            load_model(legacy_id, tmp_path)
+        with pytest.raises(ConfigError, match="schema 1"):
+            load_model(str(path), tmp_path)
+        assert [m.model_id for m in load_models(tmp_path)] == [
+            model.model_id
+        ]
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["list"]) == 0
+        listing = capsys.readouterr().out
+        assert model.model_id in listing
+        assert legacy_id not in listing
 
 
 # ----------------------------------------------------------------------
@@ -461,6 +499,20 @@ class TestSurrogateCli:
         assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
         capsys.readouterr()
         assert list_model_ids(cache) == []
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--model-type", "ridge"),
+        ("--ridge-lambda", "0.5"),
+    ])
+    def test_removed_train_flags_are_rejected(self, tmp_path, capsys,
+                                              flag, value):
+        """The predictor family and its hyperparameters are fixed; the
+        old tuning flags are usage errors, not silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["surrogate", "train", "--cache-dir", str(tmp_path),
+                  "--no-save", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_min_rank_corr_floor_fails_the_train(self, tmp_path, capsys):
         cache = tmp_path / "cache"
