@@ -12,8 +12,10 @@ busts the tiny cache modules, on a machine with one slow memory bus and
 a far next level, so ~90%+ of all cycles are stall cycles — under both
 engines, requires their ``SimStats`` to be identical, and asserts the
 event engine is at least 2x faster (typical: ~3x; the checked-run ratio
-is reported alongside).  Wired into the CI smoke step like the
-pipeline-stage bench.
+is reported alongside).  The same scenario's per-engine seconds under
+the ``dls`` and ``directory`` memory models are printed too (report
+only: the floor applies to the snooping run).  Wired into the CI smoke
+step like the pipeline-stage bench.
 """
 
 from __future__ import annotations
@@ -52,12 +54,12 @@ def _compiled():
     )
 
 
-def _run(compiled, engine: str, check: bool):
+def _run(compiled, engine: str, check: bool, model: str = "snooping"):
     trace = trace_factory(ITERATIONS, seed=7)(compiled.ddg)
     start = time.perf_counter()
     result = simulate(
         compiled, trace, iterations=ITERATIONS, engine=engine,
-        check_coherence=check,
+        check_coherence=check, model=model,
     )
     return result, time.perf_counter() - start
 
@@ -94,6 +96,13 @@ def test_event_skipping_beats_per_cycle_reference(benchmark):
     print(f"with coherence checking: {checked_ref_s:.3f}s | "
           f"{checked_evt_s:.3f}s | "
           f"{checked_ref_s / checked_evt_s:.2f}x")
+    # Report only: the other memory models on the same scenario.
+    for model in ("dls", "directory"):
+        model_ref, model_ref_s = _run(compiled, "cycles", False, model)
+        model_evt, model_evt_s = _run(compiled, "events", False, model)
+        assert _canonical(model_evt.stats) == _canonical(model_ref.stats)
+        print(f"{model}: per-cycle {model_ref_s:.3f}s | event-skipping "
+              f"{model_evt_s:.3f}s | {model_ref_s / model_evt_s:.2f}x")
 
     # Observation equivalence first: a fast wrong answer is no answer.
     assert _canonical(events.stats) == _canonical(reference.stats)

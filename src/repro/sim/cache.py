@@ -38,26 +38,21 @@ class CacheModule:
         self._sets: Tuple[OrderedDict, ...] = tuple(
             OrderedDict() for _ in range(self.num_sets)
         )
-        self.hits = 0
-        self.misses = 0
 
     def _set_of(self, block: int) -> OrderedDict:
         return self._sets[block % self.num_sets]
 
     # ------------------------------------------------------------------
-    def probe(self, block: int, touch: bool = True) -> bool:
+    def probe(self, block: int) -> bool:
         """Is the subblock of ``block`` present?  Updates LRU on hit."""
-        entries = self._set_of(block)
+        entries = self._sets[block % self.num_sets]
         if block in entries:
-            if touch:
-                entries.move_to_end(block)
-            self.hits += 1
+            entries.move_to_end(block)
             return True
-        self.misses += 1
         return False
 
     def contains(self, block: int) -> bool:
-        """Presence check with no statistics or LRU side effects."""
+        """Presence check with no LRU side effect."""
         return block in self._set_of(block)
 
     def install(self, block: int, dirty: bool = False) -> Optional[Eviction]:
@@ -79,18 +74,7 @@ class CacheModule:
         return victim
 
     def mark_dirty(self, block: int) -> None:
-        entries = self._set_of(block)
+        entries = self._sets[block % self.num_sets]
         if block in entries:
             entries[block] = True
             entries.move_to_end(block)
-
-    def invalidate(self, block: int) -> bool:
-        entries = self._set_of(block)
-        if block in entries:
-            del entries[block]
-            return True
-        return False
-
-    @property
-    def resident_blocks(self) -> int:
-        return sum(len(entries) for entries in self._sets)

@@ -30,9 +30,8 @@ engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.alias.profiles import TraceLike
 from repro.ir.ddg import Ddg
 
 Version = Tuple[int, int]
@@ -80,15 +79,24 @@ class CoherenceChecker:
     def __init__(
         self,
         ddg: Ddg,
-        trace: TraceLike,
+        addresses: Mapping[int, Sequence[int]],
         iterations: int,
     ) -> None:
+        """``addresses`` is the run's per-operation address table
+        (``addresses[iid][iteration]``, see
+        :func:`repro.workloads.traces.address_tables`)."""
         self.counts = ViolationCounts()
-        self._expected: Dict[Tuple[int, int], Optional[Version]] = {}
-        self._precompute(ddg, trace, iterations)
+        #: load iid -> expected version per iteration
+        self._expected: Dict[int, List[Optional[Version]]] = {}
+        self._precompute(ddg, addresses, iterations)
 
     # ------------------------------------------------------------------
-    def _precompute(self, ddg: Ddg, trace: TraceLike, iterations: int) -> None:
+    def _precompute(
+        self,
+        ddg: Ddg,
+        addresses: Mapping[int, Sequence[int]],
+        iterations: int,
+    ) -> None:
         """Sequential walk of all memory instances in program order.
 
         Replicated store instances stand for a single logical store; only
@@ -100,18 +108,31 @@ class CoherenceChecker:
             if v.replica_group is None or v.replica_group == v.iid
         ]
         ops.sort(key=lambda v: (v.seq, v.iid))
+        walk: List[
+            Tuple[Sequence[int], int, Optional[List[Optional[Version]]]]
+        ] = []
+        for op in ops:
+            table = addresses[op.iid]
+            if op.is_store:
+                walk.append((table, op.seq, None))
+            else:
+                expected: List[Optional[Version]] = [None] * iterations
+                self._expected[op.iid] = expected
+                walk.append((table, 0, expected))
         last_writer: Dict[int, Version] = {}
         for iteration in range(iterations):
-            for op in ops:
-                addr = trace.address(op.iid, iteration)
-                if op.is_store:
-                    last_writer[addr] = (iteration, op.seq)
+            for table, seq, expected in walk:
+                if expected is None:
+                    last_writer[table[iteration]] = (iteration, seq)
                 else:
-                    self._expected[(op.iid, iteration)] = last_writer.get(addr)
+                    expected[iteration] = last_writer.get(table[iteration])
 
     # ------------------------------------------------------------------
     def expected(self, load_iid: int, iteration: int) -> Optional[Version]:
-        return self._expected.get((load_iid, iteration))
+        per_load = self._expected.get(load_iid)
+        if per_load is None or not 0 <= iteration < len(per_load):
+            return None
+        return per_load[iteration]
 
     def observe_load(
         self, load_iid: int, iteration: int, observed: Optional[Version]
@@ -121,12 +142,14 @@ class CoherenceChecker:
         For replicated graphs callers pass the *original* iid (loads are
         never replicated, so this is only a documentation point).
         """
-        verdict = classify_observation(
-            self._expected.get((load_iid, iteration)), observed
-        )
-        if verdict is None:
+        per_load = self._expected.get(load_iid)
+        if per_load is not None and 0 <= iteration < len(per_load):
+            expected = per_load[iteration]
+        else:
+            expected = None
+        if observed == expected:
             return False
-        if verdict == "future":
+        if classify_observation(expected, observed) == "future":
             self.counts.future_reads += 1
         else:
             self.counts.stale_reads += 1

@@ -44,7 +44,8 @@ systems by registering a model under an existing name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.alias.profiles import TraceLike
 from repro.errors import SimulationError
@@ -54,6 +55,7 @@ from repro.sched.pipeline import CompilationResult
 from repro.sim.coherence import CoherenceChecker, ViolationCounts
 from repro.sim.memory import MemorySystem
 from repro.sim.stats import SimStats
+from repro.workloads.traces import address_tables
 
 #: Consecutive stalled cycles after which the simulation is declared
 #: hung.  The same bound guards the post-issue drain: a memory system
@@ -147,8 +149,9 @@ def simulate(
             f"{n_iter} requested"
         )
 
+    addresses = address_tables(ddg, trace, n_iter)
     checker = (
-        CoherenceChecker(ddg, trace, n_iter) if check_coherence else None
+        CoherenceChecker(ddg, addresses, n_iter) if check_coherence else None
     )
     stats = SimStats()
     memory = model_impl.build(machine, stats, checker)
@@ -164,11 +167,12 @@ def simulate(
     run = _run_event_skipping if engine == "events" else _run_per_cycle
     run(
         schedule, n_iter, total_indexes, ops_by_slot, completions,
-        trace, memory, stats,
+        addresses, memory, stats,
     )
 
     if flush_abs:
         memory.flush_attraction_buffers()
+    memory.sync_stats()
 
     # One registry publication per run (never per cycle): engine counters
     # incl. the event-skipping diagnostics, plus per-bus occupancy.
@@ -187,11 +191,59 @@ def simulate(
 
 
 # ----------------------------------------------------------------------
+# Per-run tables
+# ----------------------------------------------------------------------
+def _issue_tables(
+    ops_by_slot: List[List[_OpInfo]],
+    ii: int,
+    completions: Dict[int, Dict[int, Optional[int]]],
+    addresses: Dict[int, Sequence[int]],
+) -> List[tuple]:
+    """Per-slot issue lists for the steady window (see
+    :func:`_fastpath_tables`), where every op of a slot is due.
+
+    At kernel index ``index = q * ii + slot``, the op with issue time
+    ``time`` runs iteration ``q - time // ii``; a slot entry is::
+
+        (op count, load waits, loads, stores)
+
+    Load waits are ``(completion map, offset)`` pairs: the producer
+    iteration is ``q - offset``, and a negative one reads as ready,
+    exactly like the reference's ``j < 0`` skip.  Loads are
+    ``(cluster, address table, width, iid, time // ii, completion-map
+    setter)`` and stores ``(cluster, address table, width, iid,
+    time // ii, seq, replica)``; issuing every load before every store
+    keeps the bucket order of :func:`_prepare`.
+    """
+    tables = []
+    for bucket in ops_by_slot:
+        waits = tuple(
+            (completions[load_iid], info.time // ii + distance)
+            for info in bucket
+            for load_iid, distance in info.load_preds
+        )
+        loads = tuple(
+            (info.cluster, addresses[info.iid], info.width, info.iid,
+             info.time // ii, completions[info.iid].__setitem__)
+            for info in bucket
+            if info.is_load
+        )
+        stores = tuple(
+            (info.cluster, addresses[info.iid], info.width, info.iid,
+             info.time // ii, info.seq, info.replica)
+            for info in bucket
+            if info.is_store
+        )
+        tables.append((len(bucket), waits, loads, stores))
+    return tables
+
+
+# ----------------------------------------------------------------------
 # Engine: per-cycle reference
 # ----------------------------------------------------------------------
 def _run_per_cycle(
     schedule, n_iter, total_indexes, ops_by_slot, completions,
-    trace, memory, stats,
+    addresses, memory, stats,
 ) -> None:
     """One Python iteration per machine cycle (the semantic baseline)."""
     ii = schedule.ii
@@ -207,7 +259,8 @@ def _run_per_cycle(
             if _all_ready(due, completions, cycle):
                 for info, iteration in due:
                     _issue(
-                        info, iteration, cycle, trace, memory, completions, stats
+                        info, iteration, cycle, addresses, memory,
+                        completions, stats,
                     )
                 index += 1
                 stats.compute_cycles += 1
@@ -249,7 +302,7 @@ def _run_per_cycle(
 # ----------------------------------------------------------------------
 def _run_event_skipping(
     schedule, n_iter, total_indexes, ops_by_slot, completions,
-    trace, memory, stats,
+    addresses, memory, stats,
 ) -> None:
     """Jump stalled and drain windows to the next memory event.
 
@@ -268,6 +321,10 @@ def _run_event_skipping(
       and no load consumer, entered with the memory system quiescent
       (no loads in flight, none due), issues unconditionally and leaves
       memory untouched — the run retires in one step.
+
+    Inside the steady window every index issues from its slot's
+    precomputed issue list (:func:`_issue_tables`) — the same ops, in
+    the same order, with the same iterations as :func:`_due_ops`.
     """
     ii = schedule.ii
     length = schedule.length
@@ -281,8 +338,15 @@ def _run_event_skipping(
     (
         run_len, all_clean, count_prefix, ops_per_ii, steady_lo, steady_hi,
     ) = _fastpath_tables(ops_by_slot, ii, n_iter, total_indexes)
+    slot_tables = _issue_tables(ops_by_slot, ii, completions, addresses)
 
-    while index < total_indexes or not memory.quiescent():
+    tick_begin = memory.tick_begin
+    tick_end = memory.tick_end
+    quiescent = memory.quiescent
+    load = memory.load
+    store = memory.store
+
+    while index < total_indexes or not quiescent():
         if index >= total_indexes:
             # ---- post-issue drain ------------------------------------
             # Same watchdog policy as the reference: bound windows in
@@ -291,19 +355,19 @@ def _run_event_skipping(
             # Sampled after tick_begin, exactly like the reference, so
             # progress delivered *this* cycle re-anchors immediately and
             # both engines agree on the cycle a drain is declared hung.
-            memory.tick_begin(cycle)
+            tick_begin(cycle)
             pending = memory.pending_work()
             if pending < drain_low_water:
                 drain_low_water = pending
                 drain_anchor = cycle
-            memory.tick_end(cycle)
+            tick_end(cycle)
             cycle += 1
             if cycle - drain_anchor > STALL_WATCHDOG:
                 raise SimulationError(
                     f"memory system failed to drain: no progress for "
                     f"{STALL_WATCHDOG} cycles after the last issue"
                 )
-            if memory.quiescent():
+            if quiescent():
                 continue
             event = memory.next_event_cycle(cycle)
             if event is None:
@@ -323,9 +387,10 @@ def _run_event_skipping(
                 cycle = event
             continue
 
-        # ---- bulk fast path: memory-free kernel-index runs -----------
-        if steady_lo <= index < steady_hi:
-            slot = index % ii
+        steady = steady_lo <= index < steady_hi
+        if steady:
+            q, slot = divmod(index, ii)
+            # ---- bulk fast path: memory-free kernel-index runs -------
             if all_clean:
                 k = steady_hi - index
             else:
@@ -336,7 +401,7 @@ def _run_event_skipping(
                         k = bound
             # k <= total_indexes - index always: steady_hi is capped at
             # total_indexes and both branches bound k by steady_hi.
-            if k and memory.quiescent():
+            if k and quiescent():
                 if all_clean:
                     whole, rem = divmod(k, ii)
                     issued = whole * ops_per_ii + (
@@ -357,17 +422,28 @@ def _run_event_skipping(
                 continue
 
         # ---- one kernel index: stall (fast-forwarding) until ready ---
-        memory.tick_begin(cycle)
-        due = _due_ops(ops_by_slot, index, ii, n_iter)
-        if not _all_ready(due, completions, cycle):
-            # The due set is frozen while the index stalls; resolve its
-            # load waits once and loop event-to-event until they clear.
-            waits = [
-                (completions[load_iid], iteration - distance)
-                for info, iteration in due
-                for load_iid, distance in info.load_preds
-                if iteration - distance >= 0
-            ]
+        tick_begin(cycle)
+        waits = None
+        if steady:
+            count, slot_waits, loads, stores = slot_tables[slot]
+            for per_load, offset in slot_waits:
+                done = per_load.get(q - offset, 0)
+                if done is None or done > cycle:
+                    waits = [(d, q - o) for d, o in slot_waits]
+                    break
+        else:
+            due = _due_ops(ops_by_slot, index, ii, n_iter)
+            if not _all_ready(due, completions, cycle):
+                waits = [
+                    (completions[load_iid], iteration - distance)
+                    for info, iteration in due
+                    for load_iid, distance in info.load_preds
+                    if iteration - distance >= 0
+                ]
+        if waits is not None:
+            # The due set is frozen while the index stalls; its load
+            # waits are resolved once: loop event-to-event until they
+            # clear.
             while True:
                 stats.stall_cycles += 1
                 stall_streak += 1
@@ -376,7 +452,7 @@ def _run_event_skipping(
                         f"machine stalled for {stall_streak} cycles at "
                         f"kernel index {index}"
                     )
-                memory.tick_end(cycle)
+                tick_end(cycle)
                 cycle += 1
 
                 event = memory.next_event_cycle(cycle)
@@ -413,16 +489,29 @@ def _run_event_skipping(
                             _prune(completions, index, ii, length)
                             if index >= next_prune:
                                 next_prune = _next_prune_after(index)
-                memory.tick_begin(cycle)
+                tick_begin(cycle)
                 if _waits_ready(waits, cycle):
                     break
 
-        for info, iteration in due:
-            _issue(info, iteration, cycle, trace, memory, completions, stats)
+        if steady:
+            stats.issued_ops += count
+            for cluster, table, width, iid, offset, setter in loads:
+                iteration = q - offset
+                setter(iteration, None)
+                load(cluster, table[iteration], width, iid, iteration,
+                     partial(setter, iteration), cycle)
+            for cluster, table, width, iid, offset, seq, replica in stores:
+                iteration = q - offset
+                store(cluster, table[iteration], width, iid, iteration,
+                      (iteration, seq), replica, cycle)
+        else:
+            for info, iteration in due:
+                _issue(info, iteration, cycle, addresses, memory,
+                       completions, stats)
         index += 1
         stats.compute_cycles += 1
         stall_streak = 0
-        memory.tick_end(cycle)
+        tick_end(cycle)
         cycle += 1
         if index >= next_prune:
             _prune(completions, index, ii, length)
@@ -592,28 +681,24 @@ def _issue(
     info: _OpInfo,
     iteration: int,
     cycle: int,
-    trace: TraceLike,
+    addresses: Dict[int, Sequence[int]],
     memory: MemorySystem,
     completions: Dict[int, Dict[int, Optional[int]]],
     stats: SimStats,
 ) -> None:
     stats.issued_ops += 1
     if info.is_load:
-        addr = trace.address(info.iid, iteration)
-        slot = completions[info.iid]
-        slot[iteration] = None
-
-        def on_complete(done: int, _slot=slot, _it=iteration) -> None:
-            _slot[_it] = done
-
+        per_load = completions[info.iid]
+        per_load[iteration] = None
         memory.load(
-            info.cluster, addr, info.width, info.iid, iteration, on_complete, cycle
+            info.cluster, addresses[info.iid][iteration], info.width,
+            info.iid, iteration, partial(per_load.__setitem__, iteration),
+            cycle,
         )
     elif info.is_store:
-        addr = trace.address(info.iid, iteration)
         memory.store(
             info.cluster,
-            addr,
+            addresses[info.iid][iteration],
             info.width,
             info.iid,
             iteration,

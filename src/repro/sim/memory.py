@@ -22,7 +22,16 @@ Timing recipe (matching :meth:`MachineConfig.memory_latencies`):
 Per cycle the executor calls :meth:`tick_begin` (deliver bus messages and
 next-level fills), lets the core issue, then :meth:`tick_end` (inject
 queued transfers).  A request issued at cycle ``c`` therefore first
-contends for a bus at ``c``.
+contends for a bus at ``c``.  Both are cheap on cycles with nothing due:
+``tick_begin`` only runs the deliveries, fills and deferred sends keyed
+to this very cycle, and ``tick_end`` only calls into the fabric while
+messages are queued.
+
+Counters are kept where they change — plain ints on this object, the
+fabric and the next level — and copied into :class:`SimStats` by
+:meth:`sync_stats`, which the executor calls once, at the end of a run.
+Neither tick syncs stats; a caller that drives the memory system by hand
+and reads its stats calls :meth:`sync_stats` first.
 
 The event-skipping executor (the default engine of
 :func:`repro.sim.executor.simulate`) replaces long runs of no-op tick
@@ -39,7 +48,7 @@ stat, to a per-cycle run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch.config import MachineConfig
@@ -48,7 +57,7 @@ from repro.sim.attraction import AttractionBuffer
 from repro.sim.bus import BusFabric, BusMessage
 from repro.sim.cache import CacheModule
 from repro.sim.coherence import CoherenceChecker
-from repro.sim.interleave import home_cluster, subblock_id
+from repro.sim.interleave import home_cluster
 from repro.sim.nextlevel import NextLevel, NextLevelRequest
 from repro.sim.stats import AccessType, SimStats
 
@@ -61,17 +70,20 @@ LoadCallback = Callable[[int], None]  # completion cycle
 TraceCallback = Callable[[tuple], None]
 
 
-@dataclass
 class _PendingLoad:
     """A load waiting for a subblock (local fill or remote response)."""
 
-    iid: int
-    iteration: int
-    addr: int
-    on_complete: LoadCallback
+    __slots__ = ("iid", "iteration", "addr", "on_complete")
+
+    def __init__(
+        self, iid: int, iteration: int, addr: int, on_complete: LoadCallback
+    ) -> None:
+        self.iid = iid
+        self.iteration = iteration
+        self.addr = addr
+        self.on_complete = on_complete
 
 
-@dataclass
 class _HomeWaiter:
     """Work deferred at a home module until its next-level fill arrives.
 
@@ -85,16 +97,23 @@ class _HomeWaiter:
         ("respond", requester, _PendingLoad)  answer a remote read request
     """
 
-    actions: List[tuple] = field(default_factory=list)
+    __slots__ = ("actions",)
+
+    def __init__(self) -> None:
+        self.actions: List[tuple] = []
 
     def defer_store(self, addr: int, version: Version) -> None:
         self.actions.append(("store", addr, version))
 
-    def defer_load(self, pending: "_PendingLoad") -> None:
+    def defer_load(self, pending: _PendingLoad) -> None:
         self.actions.append(("load", pending))
 
-    def defer_response(self, requester: int, pending: "_PendingLoad") -> None:
+    def defer_response(self, requester: int, pending: _PendingLoad) -> None:
         self.actions.append(("respond", requester, pending))
+
+
+def _ignore_fill(cycle: int) -> None:
+    """Completion callback of a victim write-back (nothing waits on it)."""
 
 
 class MemorySystem:
@@ -150,42 +169,67 @@ class MemorySystem:
         #: responses waiting for their earliest send cycle
         self._deferred_sends: Dict[int, List[BusMessage]] = {}
         self._outstanding = 0  # accesses not yet fully resolved
+        # Geometry read on every access.
+        self._block_bytes = machine.cache.block_bytes
+        self._num_clusters = machine.num_clusters
+        self._hit_latency = machine.cache.hit_latency
+        # Access classification (Figure 6), flushed by sync_stats().
+        self._local_hits = 0
+        self._remote_hits = 0
+        self._local_misses = 0
+        self._remote_misses = 0
+        self._combined = 0
 
     # ------------------------------------------------------------------
     # Cycle driving
     # ------------------------------------------------------------------
     def tick_begin(self, cycle: int) -> None:
-        if self._deferred_sends:
-            for message in self._deferred_sends.pop(cycle, ()):
+        deferred = self._deferred_sends
+        if deferred and cycle in deferred:
+            for message in deferred.pop(cycle):
                 if self._trace is not None and message.tag is not None:
                     self._trace(("send_response",) + message.tag + (True,))
                 self.fabric.send(message)
-        self.next_level.tick(cycle)
-        self.fabric.deliver(cycle)
+        next_level = self.next_level
+        if next_level._queue or cycle in next_level._completions:
+            next_level.tick(cycle)
+        if cycle in self.fabric._in_flight:
+            self.fabric.deliver(cycle)
 
     def tick_end(self, cycle: int) -> None:
-        self.fabric.inject(cycle)
-        self.sync_stats()
+        if self.fabric._queued:
+            self.fabric.inject(cycle)
 
     def sync_stats(self) -> None:
-        """Mirror fabric/next-level counters into :class:`SimStats`.
+        """Copy the memory-side counters into :class:`SimStats`.
 
-        Pure absolute copies of monotonic counters, so calling it on any
-        subset of cycles yields the same final stats as calling it every
-        ``tick_end``.
+        Pure absolute copies of monotonic counters, so it may run any
+        number of times; the executor runs it once, after the last cycle
+        and the Attraction-Buffer flush.
         """
-        self.stats.bus_transfers = self.fabric.transfers
-        self.stats.bus_queued_cycles = self.fabric.queued_cycles
-        self.stats.next_level_requests = self.next_level.requests
+        stats = self.stats
+        stats.bus_transfers = self.fabric.transfers
+        stats.bus_queued_cycles = self.fabric.queued_cycles
+        stats.next_level_requests = self.next_level.requests
         # The fabric mutates its per-kind dict in place and each run owns
-        # its own fabric, so sharing the reference is safe and keeps this
-        # per-tick call allocation-free.
-        self.stats.bus_transfer_kinds = self.fabric.transfers_by_kind
+        # its own fabric, so sharing the reference is safe.
+        stats.bus_transfer_kinds = self.fabric.transfers_by_kind
+        accesses = stats.accesses
+        accesses[AccessType.LOCAL_HIT] = self._local_hits
+        accesses[AccessType.REMOTE_HIT] = self._remote_hits
+        accesses[AccessType.LOCAL_MISS] = self._local_misses
+        accesses[AccessType.REMOTE_MISS] = self._remote_misses
+        accesses[AccessType.COMBINED] = self._combined
+        if self.abs is not None:
+            stats.ab_hits = sum(ab.hits for ab in self.abs)
+            stats.ab_fills = sum(ab.fills for ab in self.abs)
+            stats.ab_overflows = sum(ab.overflows for ab in self.abs)
 
     def quiescent(self) -> bool:
         return (
             self._outstanding == 0
-            and self.fabric.pending() == 0
+            and self.fabric._queued == 0
+            and not self.fabric._in_flight
             and self.next_level.pending() == 0
             and not self._deferred_sends
         )
@@ -236,7 +280,7 @@ class MemorySystem:
             return after
         best: Optional[int] = None
         if fabric._queued:
-            free_at = fabric.next_free_bus()
+            free_at = fabric._free_min
             if free_at <= after:
                 return after
             best = free_at
@@ -264,22 +308,24 @@ class MemorySystem:
         (``stop <= next_event_cycle(start)``): no deliveries, fills,
         deferred sends, injections or port acceptances can occur, so the
         whole window collapses to the bus fabric's bulk replay (wait
-        accounting for stuck queues, round-robin rotation otherwise).
+        accounting for stuck queues; idle round-robin rotation is lazy).
         Semantically identical to ``stop - start`` tick pairs with no
         core issue in between.
         """
-        if stop <= start:
-            return
-        self.fabric.skip_window(start, stop)
+        if stop > start:
+            self.fabric.skip_window(start, stop)
 
     # ------------------------------------------------------------------
     # Version bookkeeping
     # ------------------------------------------------------------------
-    def _bucket(self, key: SubblockKey) -> Dict[int, Version]:
-        return self._versions.setdefault(key, {})
+    def _version_at(self, key: SubblockKey, addr: int) -> Optional[Version]:
+        bucket = self._versions.get(key)
+        return None if bucket is None else bucket.get(addr)
 
     def _apply_store(self, key: SubblockKey, addr: int, version: Version) -> None:
-        bucket = self._bucket(key)
+        bucket = self._versions.get(key)
+        if bucket is None:
+            bucket = self._versions[key] = {}
         current = bucket.get(addr)
         inverted = current is not None and current > version
         if self._trace is not None:
@@ -292,12 +338,16 @@ class MemorySystem:
             return  # keep the younger (trace-correct) version
         bucket[addr] = version
 
-    def _observe(self, load: _PendingLoad, observed: Optional[Version]) -> None:
+    def _observe(
+        self, iid: int, iteration: int, observed: Optional[Version]
+    ) -> None:
         if self._trace is not None:
-            self._trace(("observe", load.iid, load.iteration, observed))
-        if self.checker is not None:
-            if self.checker.observe_load(load.iid, load.iteration, observed):
-                self.stats.coherence_violations += 1
+            self._trace(("observe", iid, iteration, observed))
+        checker = self.checker
+        if checker is not None and checker.observe_load(
+            iid, iteration, observed
+        ):
+            self.stats.coherence_violations += 1
 
     # ------------------------------------------------------------------
     # Public access API
@@ -310,7 +360,8 @@ class MemorySystem:
         last-level slices of the DLS model) override only this hook and
         inherit every protocol flow unchanged.
         """
-        return home_cluster(self.machine, addr), subblock_id(self.machine, addr)
+        home = home_cluster(self.machine, addr)
+        return home, (addr // self._block_bytes, home)
 
     def load(
         self,
@@ -324,10 +375,10 @@ class MemorySystem:
     ) -> None:
         self._check_alignment(addr, width)
         home, key = self._route(addr)
-        pending = _PendingLoad(iid, iteration, addr, on_complete)
 
         if home == cluster:
-            self._local_load(cluster, key, pending, cycle)
+            self._local_load(cluster, key, iid, iteration, addr,
+                             on_complete, cycle)
             return
 
         # Attraction Buffer: a cached copy of the remote subblock makes the
@@ -335,13 +386,13 @@ class MemorySystem:
         if self.abs is not None:
             entry = self.abs[cluster].lookup(key)
             if entry is not None:
-                self.stats.record_access(AccessType.LOCAL_HIT)
-                self.stats.ab_hits = sum(ab.hits for ab in self.abs)
-                self._observe(pending, entry.versions.get(addr))
-                on_complete(cycle + self.machine.cache.hit_latency)
+                self._local_hits += 1
+                self._observe(iid, iteration, entry.versions.get(addr))
+                on_complete(cycle + self._hit_latency)
                 return
 
-        self._remote_load(cluster, home, key, pending, cycle)
+        self._remote_load(cluster, home, key,
+                          _PendingLoad(iid, iteration, addr, on_complete))
 
     def store(
         self,
@@ -366,47 +417,46 @@ class MemorySystem:
             return
 
         if home == cluster:
-            self._local_store(cluster, key, addr, version, cycle)
+            self._local_store(cluster, key, addr, version)
             return
 
         # Remote store with a locally attracted copy: update it in place;
         # the dirty data goes home at the loop-boundary flush (section 5.2).
         if self.abs is not None:
             if self.abs[cluster].update(key, addr, version):
-                self.stats.record_access(AccessType.LOCAL_HIT)
+                self._local_hits += 1
                 return
 
-        self._remote_store(cluster, home, key, addr, version, cycle)
+        self._remote_store(cluster, home, key, addr, version)
 
     # ------------------------------------------------------------------
     # Local flows
     # ------------------------------------------------------------------
     def _local_load(
-        self, cluster: int, key: SubblockKey, pending: _PendingLoad, cycle: int
+        self, cluster: int, key: SubblockKey, iid: int, iteration: int,
+        addr: int, on_complete: LoadCallback, cycle: int,
     ) -> None:
         block = key[0]
-        module = self.modules[cluster]
-        if module.probe(block):
-            self.stats.record_access(AccessType.LOCAL_HIT)
+        if self.modules[cluster].probe(block):
+            self._local_hits += 1
             if self._trace is not None:
-                self._trace(("local", cluster, block, "load", pending.iid,
-                             "hit"))
-            self._observe(pending, self._bucket(key).get(pending.addr))
-            pending.on_complete(cycle + self.machine.cache.hit_latency)
+                self._trace(("local", cluster, block, "load", iid, "hit"))
+            self._observe(iid, iteration, self._version_at(key, addr))
+            on_complete(cycle + self._hit_latency)
             return
+        pending = _PendingLoad(iid, iteration, addr, on_complete)
         waiter = self._home_mshr[cluster].get(block)
         if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
+            self._combined += 1
             if self._trace is not None:
-                self._trace(("local", cluster, block, "load", pending.iid,
+                self._trace(("local", cluster, block, "load", iid,
                              "combine"))
             waiter.defer_load(pending)
             self._outstanding += 1
             return
-        self.stats.record_access(AccessType.LOCAL_MISS)
+        self._local_misses += 1
         if self._trace is not None:
-            self._trace(("local", cluster, block, "load", pending.iid,
-                         "miss"))
+            self._trace(("local", cluster, block, "load", iid, "miss"))
         waiter = _HomeWaiter()
         waiter.defer_load(pending)
         self._home_mshr[cluster][block] = waiter
@@ -415,12 +465,11 @@ class MemorySystem:
 
     def _local_store(
         self, cluster: int, key: SubblockKey, addr: int, version: Version,
-        cycle: int,
     ) -> None:
         block = key[0]
         module = self.modules[cluster]
         if module.probe(block):
-            self.stats.record_access(AccessType.LOCAL_HIT)
+            self._local_hits += 1
             if self._trace is not None:
                 self._trace(("local", cluster, block, "store", version,
                              "hit"))
@@ -429,14 +478,14 @@ class MemorySystem:
             return
         waiter = self._home_mshr[cluster].get(block)
         if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
+            self._combined += 1
             if self._trace is not None:
                 self._trace(("local", cluster, block, "store", version,
                              "combine"))
             waiter.defer_store(addr, version)
             self._outstanding += 1
             return
-        self.stats.record_access(AccessType.LOCAL_MISS)
+        self._local_misses += 1
         if self._trace is not None:
             self._trace(("local", cluster, block, "store", version, "miss"))
         waiter = _HomeWaiter()
@@ -453,11 +502,9 @@ class MemorySystem:
         a miss detected at cycle ``c`` fills at ``c + 1 + latency``, which
         matches the local-miss rung of the latency ladder.
         """
-
-        def on_fill(fill_cycle: int) -> None:
-            self._handle_fill(cluster, block, fill_cycle)
-
-        self.next_level.request(NextLevelRequest(on_fill=on_fill))
+        self.next_level.request(
+            NextLevelRequest(partial(self._handle_fill, cluster, block))
+        )
 
     def _handle_fill(self, cluster: int, block: int, cycle: int) -> None:
         if self._trace is not None:
@@ -466,9 +513,7 @@ class MemorySystem:
         victim = module.install(block, dirty=False)
         if victim is not None and victim.dirty:
             # Write-back of the victim consumes a next-level port.
-            self.next_level.request(
-                NextLevelRequest(on_fill=lambda c: None, enqueued_at=cycle)
-            )
+            self.next_level.request(NextLevelRequest(_ignore_fill))
         waiter = self._home_mshr[cluster].pop(block, None)
         if waiter is None:
             raise SimulationError(f"fill for block {block} without waiter")
@@ -480,13 +525,12 @@ class MemorySystem:
                 module.mark_dirty(block)
             elif action[0] == "load":
                 pending = action[1]
-                self._observe(pending, self._bucket(key).get(pending.addr))
+                self._observe(pending.iid, pending.iteration,
+                              self._version_at(key, pending.addr))
                 pending.on_complete(cycle)
             else:  # respond
-                self._send_response(
-                    cluster, action[1], key, action[2],
-                    send_at=cycle, now=cycle,
-                )
+                self._send_response(cluster, action[1], key, action[2],
+                                    cycle, cycle)
             self._outstanding -= 1
 
     # ------------------------------------------------------------------
@@ -498,7 +542,6 @@ class MemorySystem:
         home: int,
         key: SubblockKey,
         pending: _PendingLoad,
-        cycle: int,
     ) -> None:
         """Every remote load travels to its home as its own request.
 
@@ -518,47 +561,39 @@ class MemorySystem:
         if self._trace is not None:
             self._trace(("remote_issue", cluster, home, key[0], "load",
                          pending.iid))
-
-        def at_home(arrival: int) -> None:
-            self._home_load_request(cluster, home, key, pending, arrival)
-
-        self.fabric.send(
-            BusMessage(src=cluster, dst=home, on_deliver=at_home,
-                       enqueued_at=cycle, kind="req_load")
-        )
+        self.fabric.send(BusMessage(
+            cluster, home,
+            partial(self._home_load_request, cluster, home, key, pending),
+            None, "req_load",
+        ))
 
     def _home_load_request(
         self, requester: int, home: int, key: SubblockKey,
-        pending: _PendingLoad, arrival: int,
+        pending: _PendingLoad, arrival: int, event: str = "home_request",
     ) -> None:
+        """Serve a read request at its serving module (``event`` names
+        the step in the trace vocabulary)."""
         block = key[0]
-        module = self.modules[home]
-        if module.probe(block):
-            self.stats.record_access(AccessType.REMOTE_HIT)
+        if self.modules[home].probe(block):
+            self._remote_hits += 1
             if self._trace is not None:
-                self._trace(("home_request", home, requester, block, "load",
+                self._trace((event, home, requester, block, "load",
                              pending.iid, "hit"))
-            self._send_response(
-                home,
-                requester,
-                key,
-                pending,
-                send_at=arrival + self.machine.cache.hit_latency,
-                now=arrival,
-            )
+            self._send_response(home, requester, key, pending,
+                                arrival + self._hit_latency, arrival)
             return
         waiter = self._home_mshr[home].get(block)
         if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
+            self._combined += 1
             if self._trace is not None:
-                self._trace(("home_request", home, requester, block, "load",
+                self._trace((event, home, requester, block, "load",
                              pending.iid, "combine"))
             waiter.defer_response(requester, pending)
             self._outstanding += 1
             return
-        self.stats.record_access(AccessType.REMOTE_MISS)
+        self._remote_misses += 1
         if self._trace is not None:
-            self._trace(("home_request", home, requester, block, "load",
+            self._trace((event, home, requester, block, "load",
                          pending.iid, "miss"))
         waiter = _HomeWaiter()
         waiter.defer_response(requester, pending)
@@ -577,32 +612,47 @@ class MemorySystem:
         ``send_at`` is the cycle the response data is ready at the home
         module (probe latency after the request's arrival, or the fill
         cycle itself); messages ready now enter the bus queue directly so
-        they contend for a bus this very cycle.
+        they contend for a bus this very cycle.  The subblock's version
+        snapshot travels with the response only when an Attraction
+        Buffer will keep it.
         """
-        snapshot = dict(self._bucket(key))
-        self._observe(pending, snapshot.get(pending.addr))
-
-        def at_requester(arrival: int) -> None:
-            if self._trace is not None:
-                self._trace(("deliver_response", requester, key[0],
-                             (pending.iid,)))
-            pending.on_complete(arrival)
-            self._outstanding -= 1
-            if self.abs is not None:
-                self._ab_fill(requester, key, snapshot)
-
+        bucket = self._versions.get(key)
+        self._observe(pending.iid, pending.iteration,
+                      None if bucket is None else bucket.get(pending.addr))
+        snapshot = None
+        if self.abs is not None:
+            snapshot = {} if bucket is None else dict(bucket)
+        tag = None
+        if self._trace is not None:
+            tag = (home, key[0], (pending.iid,))
+            if send_at <= now:
+                self._trace(("send_response",) + tag + (False,))
         message = BusMessage(
-            src=home, dst=requester, on_deliver=at_requester,
-            enqueued_at=send_at, tag=(home, key[0], (pending.iid,)),
-            kind="resp",
+            home, requester,
+            partial(self._deliver_response, requester, key, pending,
+                    snapshot),
+            tag, "resp",
         )
         if send_at <= now:
-            if self._trace is not None:
-                self._trace(("send_response", home, key[0], (pending.iid,),
-                             False))
             self.fabric.send(message)
         else:
-            self._deferred_sends.setdefault(send_at, []).append(message)
+            deferred = self._deferred_sends.get(send_at)
+            if deferred is None:
+                self._deferred_sends[send_at] = [message]
+            else:
+                deferred.append(message)
+
+    def _deliver_response(
+        self, requester: int, key: SubblockKey, pending: _PendingLoad,
+        snapshot: Optional[Dict[int, Version]], arrival: int,
+    ) -> None:
+        if self._trace is not None:
+            self._trace(("deliver_response", requester, key[0],
+                         (pending.iid,)))
+        pending.on_complete(arrival)
+        self._outstanding -= 1
+        if snapshot is not None:
+            self._ab_fill(requester, key, snapshot)
 
     def _remote_store(
         self,
@@ -611,49 +661,53 @@ class MemorySystem:
         key: SubblockKey,
         addr: int,
         version: Version,
-        cycle: int,
     ) -> None:
         self._outstanding += 1
         if self._trace is not None:
             self._trace(("remote_issue", cluster, home, key[0], "store",
                          version))
+        self.fabric.send(BusMessage(
+            cluster, home,
+            partial(self._store_arrival, self._home_store_request, home,
+                    key, addr, version, cluster),
+            None, "req_store",
+        ))
 
-        def at_home(arrival: int) -> None:
-            self._home_store_request(home, key, addr, version, src=cluster)
-            self._outstanding -= 1
-
-        self.fabric.send(
-            BusMessage(src=cluster, dst=home, on_deliver=at_home,
-                       enqueued_at=cycle, kind="req_store")
-        )
+    def _store_arrival(
+        self, serve: Callable[..., None], server: int, key: SubblockKey,
+        addr: int, version: Version, src: int, arrival: int,
+    ) -> None:
+        """A store request reaches ``server``: serve it, and the issuing
+        access stops counting as in flight."""
+        serve(server, key, addr, version, src)
+        self._outstanding -= 1
 
     def _home_store_request(
         self, home: int, key: SubblockKey, addr: int, version: Version,
-        src: Optional[int] = None,
+        src: Optional[int] = None, event: str = "home_request",
     ) -> None:
         block = key[0]
         module = self.modules[home]
         if module.probe(block):
-            self.stats.record_access(AccessType.REMOTE_HIT)
+            self._remote_hits += 1
             if self._trace is not None:
-                self._trace(("home_request", home, src, block, "store",
-                             version, "hit"))
+                self._trace((event, home, src, block, "store", version,
+                             "hit"))
             module.mark_dirty(block)
             self._apply_store(key, addr, version)
             return
         waiter = self._home_mshr[home].get(block)
         if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
+            self._combined += 1
             if self._trace is not None:
-                self._trace(("home_request", home, src, block, "store",
-                             version, "combine"))
+                self._trace((event, home, src, block, "store", version,
+                             "combine"))
             waiter.defer_store(addr, version)
             self._outstanding += 1
             return
-        self.stats.record_access(AccessType.REMOTE_MISS)
+        self._remote_misses += 1
         if self._trace is not None:
-            self._trace(("home_request", home, src, block, "store",
-                         version, "miss"))
+            self._trace((event, home, src, block, "store", version, "miss"))
         waiter = _HomeWaiter()
         waiter.defer_store(addr, version)
         self._home_mshr[home][block] = waiter
@@ -670,8 +724,6 @@ class MemorySystem:
         victim = self.abs[cluster].fill(key, snapshot)
         if victim is not None and victim.dirty:
             self._write_back_ab_entry(victim)
-        self.stats.ab_fills = sum(ab.fills for ab in self.abs)
-        self.stats.ab_overflows = sum(ab.overflows for ab in self.abs)
 
     def _write_back_ab_entry(self, entry) -> None:
         for addr, version in entry.versions.items():

@@ -27,6 +27,7 @@ Buffers are rejected at build time.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.arch.config import MachineConfig
@@ -38,11 +39,10 @@ from repro.sim.memory import (
     SubblockKey,
     TraceCallback,
     Version,
-    _HomeWaiter,
     _PendingLoad,
 )
 from repro.sim.models import MemoryModel, register_model
-from repro.sim.stats import AccessType, SimStats
+from repro.sim.stats import SimStats
 
 
 def directory_home(block: int, num_clusters: int) -> int:
@@ -60,8 +60,8 @@ class DirectoryMemorySystem(MemorySystem):
     """Request -> home -> owner -> requester, each hop a bus message."""
 
     def _route(self, addr: int) -> Tuple[int, SubblockKey]:
-        block = addr // self.machine.cache.block_bytes
-        owner = directory_owner(block, self.machine.num_clusters)
+        block = addr // self._block_bytes
+        owner = directory_owner(block, self._num_clusters)
         return owner, (block, owner)
 
     # ------------------------------------------------------------------
@@ -78,19 +78,23 @@ class DirectoryMemorySystem(MemorySystem):
         cycle: int,
     ) -> None:
         self._check_alignment(addr, width)
-        block = addr // self.machine.cache.block_bytes
-        n = self.machine.num_clusters
+        block = addr // self._block_bytes
+        n = self._num_clusters
         home = directory_home(block, n)
         owner = directory_owner(block, n)
         key = (block, owner)
-        pending = _PendingLoad(iid, iteration, addr, on_complete)
         if cluster == home:
             if owner == cluster:
-                self._local_load(cluster, key, pending, cycle)
+                self._local_load(cluster, key, iid, iteration, addr,
+                                 on_complete, cycle)
                 return
-            self._forward_issue_load(cluster, owner, key, pending, cycle)
+            self._forward_issue_load(
+                cluster, owner, key,
+                _PendingLoad(iid, iteration, addr, on_complete),
+            )
             return
-        self._remote_load(cluster, home, key, pending, cycle)
+        self._remote_load(cluster, home, key,
+                          _PendingLoad(iid, iteration, addr, on_complete))
 
     def store(
         self,
@@ -104,8 +108,8 @@ class DirectoryMemorySystem(MemorySystem):
         cycle: int,
     ) -> None:
         self._check_alignment(addr, width)
-        block = addr // self.machine.cache.block_bytes
-        n = self.machine.num_clusters
+        block = addr // self._block_bytes
+        n = self._num_clusters
         home = directory_home(block, n)
         owner = directory_owner(block, n)
         key = (block, owner)
@@ -116,56 +120,49 @@ class DirectoryMemorySystem(MemorySystem):
             return
         if cluster == home:
             if owner == cluster:
-                self._local_store(cluster, key, addr, version, cycle)
+                self._local_store(cluster, key, addr, version)
                 return
-            self._forward_issue_store(cluster, owner, key, addr, version,
-                                      cycle)
+            self._forward_issue_store(cluster, owner, key, addr, version)
             return
-        self._remote_store(cluster, home, key, addr, version, cycle)
+        self._remote_store(cluster, home, key, addr, version)
 
     # ------------------------------------------------------------------
     # Direct forwards (requester is the directory home; lookup is free)
     # ------------------------------------------------------------------
     def _forward_issue_load(
         self, cluster: int, owner: int, key: SubblockKey,
-        pending: _PendingLoad, cycle: int,
+        pending: _PendingLoad,
     ) -> None:
         self._outstanding += 1
         if self._trace is not None:
             self._trace(("forward_issue", cluster, key[0], "load",
                          pending.iid))
-
-        def at_owner(arrival: int) -> None:
-            self._owner_load_request(cluster, owner, key, pending, arrival)
-
-        self.fabric.send(
-            BusMessage(src=cluster, dst=owner, on_deliver=at_owner,
-                       enqueued_at=cycle, kind="fwd_load")
-        )
+        self.fabric.send(BusMessage(
+            cluster, owner,
+            partial(self._owner_load_request, cluster, owner, key, pending),
+            None, "fwd_load",
+        ))
 
     def _forward_issue_store(
         self, cluster: int, owner: int, key: SubblockKey, addr: int,
-        version: Version, cycle: int,
+        version: Version,
     ) -> None:
         self._outstanding += 1
         if self._trace is not None:
             self._trace(("forward_issue", cluster, key[0], "store", version))
-
-        def at_owner(arrival: int) -> None:
-            self._owner_store_request(owner, key, addr, version, src=cluster)
-            self._outstanding -= 1
-
-        self.fabric.send(
-            BusMessage(src=cluster, dst=owner, on_deliver=at_owner,
-                       enqueued_at=cycle, kind="fwd_store")
-        )
+        self.fabric.send(BusMessage(
+            cluster, owner,
+            partial(self._store_arrival, self._owner_store_request, owner,
+                    key, addr, version, cluster),
+            None, "fwd_store",
+        ))
 
     # ------------------------------------------------------------------
     # Home side: serve in place or forward to the owner
     # ------------------------------------------------------------------
     def _home_load_request(
         self, requester: int, home: int, key: SubblockKey,
-        pending: _PendingLoad, arrival: int,
+        pending: _PendingLoad, arrival: int, event: str = "home_request",
     ) -> None:
         owner = key[1]
         if owner == home:
@@ -174,22 +171,20 @@ class DirectoryMemorySystem(MemorySystem):
         if self._trace is not None:
             self._trace(("forward", home, owner, requester, key[0], "load",
                          pending.iid))
-
-        def at_owner(arrival2: int) -> None:
-            self._owner_load_request(requester, owner, key, pending, arrival2)
-
-        self.fabric.send(
-            BusMessage(src=home, dst=owner, on_deliver=at_owner,
-                       enqueued_at=arrival, kind="fwd_load")
-        )
+        self.fabric.send(BusMessage(
+            home, owner,
+            partial(self._owner_load_request, requester, owner, key,
+                    pending),
+            None, "fwd_load",
+        ))
 
     def _home_store_request(
         self, home: int, key: SubblockKey, addr: int, version: Version,
-        src: Optional[int] = None,
+        src: Optional[int] = None, event: str = "home_request",
     ) -> None:
         owner = key[1]
         if owner == home:
-            super()._home_store_request(home, key, addr, version, src=src)
+            super()._home_store_request(home, key, addr, version, src)
             return
         if self._trace is not None:
             self._trace(("forward", home, owner, src, key[0], "store",
@@ -197,88 +192,30 @@ class DirectoryMemorySystem(MemorySystem):
         # The caller decrements its in-flight count right after this
         # call; keep the access outstanding across the forwarded hop.
         self._outstanding += 1
-
-        def at_owner(arrival: int) -> None:
-            self._owner_store_request(owner, key, addr, version, src=src)
-            self._outstanding -= 1
-
-        self.fabric.send(
-            BusMessage(src=home, dst=owner, on_deliver=at_owner,
-                       kind="fwd_store")
-        )
+        self.fabric.send(BusMessage(
+            home, owner,
+            partial(self._store_arrival, self._owner_store_request, owner,
+                    key, addr, version, src),
+            None, "fwd_store",
+        ))
 
     # ------------------------------------------------------------------
-    # Owner side: the serialization point (mirrors the home flows of the
-    # base protocol, with its own trace vocabulary)
+    # Owner side: the serialization point — the base protocol's home
+    # flows, under their own trace vocabulary
     # ------------------------------------------------------------------
     def _owner_load_request(
         self, requester: int, owner: int, key: SubblockKey,
         pending: _PendingLoad, arrival: int,
     ) -> None:
-        block = key[0]
-        module = self.modules[owner]
-        if module.probe(block):
-            self.stats.record_access(AccessType.REMOTE_HIT)
-            if self._trace is not None:
-                self._trace(("owner_request", owner, requester, block,
-                             "load", pending.iid, "hit"))
-            self._send_response(
-                owner, requester, key, pending,
-                send_at=arrival + self.machine.cache.hit_latency,
-                now=arrival,
-            )
-            return
-        waiter = self._home_mshr[owner].get(block)
-        if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
-            if self._trace is not None:
-                self._trace(("owner_request", owner, requester, block,
-                             "load", pending.iid, "combine"))
-            waiter.defer_response(requester, pending)
-            self._outstanding += 1
-            return
-        self.stats.record_access(AccessType.REMOTE_MISS)
-        if self._trace is not None:
-            self._trace(("owner_request", owner, requester, block, "load",
-                         pending.iid, "miss"))
-        waiter = _HomeWaiter()
-        waiter.defer_response(requester, pending)
-        self._home_mshr[owner][block] = waiter
-        self._outstanding += 1
-        self._fetch(owner, block)
+        super()._home_load_request(requester, owner, key, pending, arrival,
+                                   "owner_request")
 
     def _owner_store_request(
         self, owner: int, key: SubblockKey, addr: int, version: Version,
         src: Optional[int] = None,
     ) -> None:
-        block = key[0]
-        module = self.modules[owner]
-        if module.probe(block):
-            self.stats.record_access(AccessType.REMOTE_HIT)
-            if self._trace is not None:
-                self._trace(("owner_request", owner, src, block, "store",
-                             version, "hit"))
-            module.mark_dirty(block)
-            self._apply_store(key, addr, version)
-            return
-        waiter = self._home_mshr[owner].get(block)
-        if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
-            if self._trace is not None:
-                self._trace(("owner_request", owner, src, block, "store",
-                             version, "combine"))
-            waiter.defer_store(addr, version)
-            self._outstanding += 1
-            return
-        self.stats.record_access(AccessType.REMOTE_MISS)
-        if self._trace is not None:
-            self._trace(("owner_request", owner, src, block, "store",
-                         version, "miss"))
-        waiter = _HomeWaiter()
-        waiter.defer_store(addr, version)
-        self._home_mshr[owner][block] = waiter
-        self._outstanding += 1
-        self._fetch(owner, block)
+        super()._home_store_request(owner, key, addr, version, src,
+                                    "owner_request")
 
 
 class DirectoryModel(MemoryModel):

@@ -39,8 +39,8 @@ class DLSMemorySystem(MemorySystem):
     """Snooping flows over block-granular, hash-placed subblocks."""
 
     def _route(self, addr: int) -> Tuple[int, SubblockKey]:
-        block = addr // self.machine.cache.block_bytes
-        home = dls_home(block, self.machine.num_clusters)
+        block = addr // self._block_bytes
+        home = dls_home(block, self._num_clusters)
         return home, (block, home)
 
 

@@ -8,16 +8,19 @@ request completes ``latency`` cycles later, invoking its callback.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List
 
 from repro.arch.config import NextLevelConfig
 
 
-@dataclass
 class NextLevelRequest:
-    on_fill: Callable[[int], None]
-    enqueued_at: int = 0
+    """One fill (or write-back) request; ``on_fill(cycle)`` runs when it
+    completes."""
+
+    __slots__ = ("on_fill",)
+
+    def __init__(self, on_fill: Callable[[int], None]) -> None:
+        self.on_fill = on_fill
 
 
 class NextLevel:
@@ -28,7 +31,6 @@ class NextLevel:
         self._queue: Deque[NextLevelRequest] = deque()
         self._completions: Dict[int, List[NextLevelRequest]] = {}
         self.requests = 0
-        self.queued_cycles = 0
 
     def request(self, req: NextLevelRequest) -> None:
         self._queue.append(req)
@@ -42,11 +44,9 @@ class NextLevel:
         if self._completions:
             for req in self._completions.pop(cycle, ()):
                 req.on_fill(cycle)
-        if self._queue:
-            accepted = 0
-            while self._queue and accepted < self.config.ports:
-                req = self._queue.popleft()
-                done = cycle + self.config.latency
-                self._completions.setdefault(done, []).append(req)
-                accepted += 1
-            self.queued_cycles += len(self._queue)
+        queue = self._queue
+        if queue:
+            done = cycle + self.config.latency
+            landing = self._completions.setdefault(done, [])
+            for _ in range(min(len(queue), self.config.ports)):
+                landing.append(queue.popleft())

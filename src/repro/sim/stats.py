@@ -56,7 +56,13 @@ _DIAGNOSTIC_FIELDS = (
 
 @dataclass
 class SimStats:
-    """Counters collected by one simulation run."""
+    """Counters collected by one simulation run.
+
+    The executor counts cycles and issued ops here directly; the memory
+    system keeps its access-class, bus, next-level and Attraction-Buffer
+    hit/fill/overflow counters itself and copies them in once per run
+    (:meth:`~repro.sim.memory.MemorySystem.sync_stats`).
+    """
 
     accesses: Dict[AccessType, int] = field(
         default_factory=lambda: {t: 0 for t in AccessType}
@@ -89,9 +95,6 @@ class SimStats:
     bus_transfer_kinds: Dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    def record_access(self, kind: AccessType) -> None:
-        self.accesses[kind] += 1
-
     @property
     def total_cycles(self) -> int:
         return self.compute_cycles + self.stall_cycles

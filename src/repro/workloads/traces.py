@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
-from repro.alias.memref import AccessPattern
+from repro.alias.memref import AccessPattern, MemRef
+from repro.alias.profiles import TraceLike
 from repro.errors import WorkloadError
 from repro.ir.ddg import Ddg
 
@@ -126,6 +127,62 @@ class AddressTrace:
             self.seed, self._space_hash[mem.space], mem.salt, iteration
         ) % slots
         return base + mem.offset + pick * mem.width
+
+    def address_table(self, iid: int, iterations: int) -> Sequence[int]:
+        """``address(iid, i)`` for every ``i < iterations``, in bulk.
+
+        Affine references become a ``range`` (no per-iteration storage);
+        indirect references evaluate the same :func:`_mix` hash as
+        :meth:`address`.  The simulator builds one table per memory
+        operation per run instead of calling :meth:`address` per access.
+        """
+        mem = self._ddg.node(iid).mem
+        if mem is None:
+            raise WorkloadError(f"instruction {iid} is not a memory op")
+        start = self.base(mem.space) + mem.offset
+        if mem.pattern is AccessPattern.AFFINE:
+            if mem.stride:
+                return range(start, start + mem.stride * iterations,
+                             mem.stride)
+            return [start] * iterations
+        slots = max(1, mem.spread // mem.width)
+        seed, space_hash = self.seed, self._space_hash[mem.space]
+        return [
+            start + _mix(seed, space_hash, mem.salt, i) % slots * mem.width
+            for i in range(iterations)
+        ]
+
+
+def address_tables(
+    ddg: Ddg, trace: TraceLike, iterations: int
+) -> Dict[int, Sequence[int]]:
+    """Every memory operation's addresses, built once per simulated run:
+    ``tables[iid][iteration] == trace.address(iid, iteration)`` for
+    ``iteration < iterations``.
+
+    An :class:`AddressTrace` evaluates each reference in bulk
+    (:meth:`AddressTrace.address_table`); any other :class:`TraceLike`
+    goes through its own ``address``.  Operations with equal ``MemRef``
+    values (replicated store instances) share one table.  The
+    simulator's issue path and its coherence checker both read these
+    tables.
+    """
+    tables: Dict[int, Sequence[int]] = {}
+    if not isinstance(trace, AddressTrace):
+        for instr in ddg.memory_instructions():
+            tables[instr.iid] = [
+                trace.address(instr.iid, i) for i in range(iterations)
+            ]
+        return tables
+    by_ref: Dict[Optional[MemRef], Sequence[int]] = {}
+    for instr in ddg.memory_instructions():
+        table = by_ref.get(instr.mem)
+        if table is None:
+            table = by_ref[instr.mem] = trace.address_table(
+                instr.iid, iterations
+            )
+        tables[instr.iid] = table
+    return tables
 
 
 def trace_factory(

@@ -18,7 +18,7 @@ from repro.ir import DdgBuilder, DepKind
 from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sim import simulate
 from repro.workloads import trace_factory
-from repro.workloads.traces import AddressTrace
+from repro.workloads.traces import AddressTrace, address_tables
 
 ITERATIONS = 128
 
@@ -118,7 +118,7 @@ class TestCheckerPrecision:
 
         ddg = store_then_load()
         trace = AddressTrace(ddg, num_iterations=4, base_of={"X": 0})
-        checker = CoherenceChecker(ddg, trace, 4)
+        checker = CoherenceChecker(ddg, address_tables(ddg, trace, 4), 4)
         store = next(v for v in ddg if v.is_store)
         load = next(v for v in ddg if v.is_load)
         # load of iteration i must see the store of iteration i (same
@@ -131,7 +131,7 @@ class TestCheckerPrecision:
 
         ddg = store_then_load()
         trace = AddressTrace(ddg, num_iterations=4, base_of={"X": 0})
-        checker = CoherenceChecker(ddg, trace, 4)
+        checker = CoherenceChecker(ddg, address_tables(ddg, trace, 4), 4)
         load = next(v for v in ddg if v.is_load)
         store = next(v for v in ddg if v.is_store)
         assert checker.observe_load(load.iid, 2, (1, store.seq))  # stale

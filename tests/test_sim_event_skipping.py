@@ -187,6 +187,58 @@ def test_engines_agree_on_mixed_pool(workload, model):
         assert events.violations.total == 0
 
 
+def _paper_scale_loop(benchmark, loop_name, variant):
+    """One catalog loop compiled and sized exactly as a scale-1.0 run
+    spec would (see ``repro.api.core``)."""
+    from repro.api.core import (
+        KERNEL_ITERATION_FLOOR,
+        PROFILE_ITERATIONS,
+        resolve_machine,
+    )
+    from repro.api.spec import RunSpec
+    from repro.workloads import get_benchmark
+    from repro.workloads.traces import cached_trace_spec
+
+    spec = RunSpec(benchmark=benchmark, variant=variant, scale=1.0)
+    bench = get_benchmark(benchmark)
+    loop = next(s for s in bench.loops if s.name == loop_name)
+    compiled = compile_loop(
+        loop.ddg, resolve_machine(spec),
+        coherence=spec.variant_obj.coherence,
+        heuristic=spec.variant_obj.heuristic,
+        trace_factory=cached_trace_spec(PROFILE_ITERATIONS,
+                                        seed=bench.profile_seed),
+        unroll_factor=loop.unroll,
+    )
+    iterations = max(KERNEL_ITERATION_FLOOR,
+                     loop.scaled_iterations(1.0) // compiled.unroll_factor)
+    return compiled, iterations, bench.execute_seed
+
+
+@pytest.mark.parametrize("model", model_names())
+def test_engines_agree_on_paper_scale_long_trace(model):
+    """A long, stall-heavy catalog loop at the paper's scale — the
+    steady-window issue tables, the lazy bus arbitration and every
+    message kind of every model — simulates identically under both
+    engines, down to the per-kind traffic split (diagnostic: not part
+    of the canonical record)."""
+    compiled, iterations, seed = _paper_scale_loop(
+        "rasta", "rasta.chain", "ddgt/prefclus")
+    results = {}
+    for engine in ENGINES:
+        trace = trace_factory(iterations, seed=seed)(compiled.ddg)
+        results[engine] = simulate(compiled, trace, iterations=iterations,
+                                   engine=engine, model=model)
+    events, reference = results["events"], results["cycles"]
+    assert _canonical(events) == _canonical(reference)
+    assert events.stats.bus_transfer_kinds == reference.stats.bus_transfer_kinds
+    assert events.violations.total == reference.violations.total == 0
+    # Long enough to matter: thousands of cycles, most of them issuing
+    # one index at a time while memory is busy.
+    assert reference.stats.total_cycles > 5000
+    assert events.stats.bus_transfers > 1000
+
+
 # ----------------------------------------------------------------------
 # Input validation and error propagation
 # ----------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Executor tests: issue timing, the latency ladder, stall-on-use."""
+"""Executor tests: issue timing, the latency ladder, stall-on-use, and
+the per-run address tables the issue path and the checker read."""
 
 import pytest
 
 from repro.alias import MemRef
+from repro.alias.memref import AccessPattern
 from repro.arch import BASELINE_CONFIG
 from repro.errors import SimulationError
 from repro.ir import DdgBuilder
 from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sim import simulate
-from repro.workloads import trace_factory
-from repro.workloads.traces import AddressTrace
+from repro.workloads import get_benchmark, trace_factory
+from repro.workloads.traces import AddressTrace, address_tables
 
 
 def single_load_loop(stride: int, consumer: bool = True):
@@ -130,3 +132,87 @@ class TestStoreSemantics:
         sim = simulate(result, trace, iterations=64)
         # 2 logical stores x 64 iterations: 3 of 4 instances nullified.
         assert sim.stats.nullified_stores == 2 * 64 * 3
+
+
+def mixed_refs_loop():
+    """Affine (forward, backward and invariant) and indirect references,
+    loads and stores."""
+    b = DdgBuilder("mixed-refs")
+    b.load("a", mem=MemRef("A", offset=8, stride=4), name="affine")
+    b.load("k", mem=MemRef("K", offset=12), name="invariant")
+    b.load("i", mem=MemRef("T", width=2, pattern=AccessPattern.INDIRECT,
+                           spread=512, salt=3), name="gather")
+    b.ialu("s", "a", "k", "i", name="sum")
+    b.store("s", mem=MemRef("B", offset=4096, stride=-8, width=8),
+            name="backward")
+    b.store("s", mem=MemRef("T", pattern=AccessPattern.INDIRECT,
+                            spread=256, salt=9), name="scatter")
+    return b.build()
+
+
+def _by_address(trace, ddg, iterations):
+    return {
+        v.iid: [trace.address(v.iid, i) for i in range(iterations)]
+        for v in ddg.memory_instructions()
+    }
+
+
+class TestAddressTables:
+    @pytest.mark.parametrize("padded", [True, False], ids=["padded",
+                                                           "unpadded"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("iterations", [1, 37, 64])
+    def test_tables_match_trace_address(self, padded, seed, iterations):
+        """Bulk tables equal ``AddressTrace.address`` element for
+        element, including runs shorter than the trace."""
+        ddg = mixed_refs_loop()
+        trace = AddressTrace(ddg, num_iterations=64, seed=seed,
+                             padded=padded)
+        tables = address_tables(ddg, trace, iterations)
+        expected = _by_address(trace, ddg, iterations)
+        assert set(tables) == set(expected)
+        for iid, table in tables.items():
+            assert len(table) == iterations
+            assert list(table) == expected[iid]
+
+    def test_compiled_catalog_loop_with_replicas(self):
+        """An unrolled DDGT loop: salts bumped per copy, replicated
+        stores sharing one reference (and one table)."""
+        loop = get_benchmark("gsmdec").loops[0]
+        result = compile_loop(
+            loop.ddg, BASELINE_CONFIG, coherence=CoherenceMode.DDGT,
+            heuristic=Heuristic.PREFCLUS,
+            trace_factory=trace_factory(64, seed=1),
+        )
+        ddg = result.ddg
+        trace = trace_factory(100, seed=4)(ddg)
+        tables = address_tables(ddg, trace, 90)
+        expected = _by_address(trace, ddg, 90)
+        assert {iid: list(t) for iid, t in tables.items()} == expected
+        replicas = [v for v in ddg.memory_instructions()
+                    if v.replica_group is not None]
+        assert replicas
+        for v in replicas:
+            assert tables[v.iid] is tables[v.replica_group]
+
+    def test_other_trace_likes_use_their_own_address(self):
+        """Only an ``AddressTrace`` is evaluated in bulk; any other
+        ``TraceLike`` is asked for every address it supplies."""
+        ddg = mixed_refs_loop()
+        inner = AddressTrace(ddg, num_iterations=16, seed=3)
+        calls = []
+
+        class RecordingTrace:
+            num_iterations = 16
+
+            def address(self, iid, iteration):
+                calls.append((iid, iteration))
+                return inner.address(iid, iteration)
+
+        tables = address_tables(ddg, RecordingTrace(), 10)
+        mem_iids = [v.iid for v in ddg.memory_instructions()]
+        assert sorted(calls) == sorted(
+            (iid, i) for iid in mem_iids for i in range(10)
+        )
+        assert {iid: list(t) for iid, t in tables.items()} == \
+            _by_address(inner, ddg, 10)
